@@ -20,6 +20,7 @@ from .clustering import (
     segment_slice,
 )
 from .components import Component, connected_components
+from .config import RunConfig
 from .errors import (
     ConfigurationError,
     EmptyGroundTruthError,

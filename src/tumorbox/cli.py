@@ -11,14 +11,13 @@ import argparse
 import dataclasses
 import json
 import logging
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, build_run_config, load_config_file
+from .atomic import atomic_open
+from .config import DICE_FORMULAS, METHODS, RunConfig, build_run_config, load_config_file
 from .errors import (
     ConfigurationError,
     EmptyGroundTruthError,
@@ -46,18 +45,13 @@ DEFAULT_RADIUS_RANGE = (12.0, 20.0)
 BRAIN_RADII_FRACTIONS = (0.39, 0.44, 0.44)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Atomic text write (temp file + rename) for composable batch runs."""
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+def _write_text(path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
+def _write_json(path, payload) -> None:
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _parse_slices(text: str) -> tuple[int, ...]:
@@ -150,21 +144,13 @@ def cmd_extract(args) -> int:
             collect_debug=bool(args.debug_dir),
         )
     except NoTumorDetectedError as exc:
+        if args.report and exc.report is not None:
+            _write_json(args.report, exc.report.to_dict())
         if cfg.strict:
             log.error("no tumor detected: %s", exc)
-            if args.report and exc.report is not None:
-                _write_text(
-                    Path(args.report),
-                    json.dumps(exc.report.to_dict(), sort_keys=True, indent=2) + "\n",
-                )
             return 3
         payload = {"bbox": None, "method": cfg.method, "warning": "no tumor detected"}
         print(json.dumps(payload, sort_keys=True))
-        if args.report and exc.report is not None:
-            _write_text(
-                Path(args.report),
-                json.dumps(exc.report.to_dict(), sort_keys=True, indent=2) + "\n",
-            )
         return 0
 
     if args.format == "csv":
@@ -176,16 +162,13 @@ def cmd_extract(args) -> int:
         print(json.dumps(payload, sort_keys=True))
 
     if args.report:
-        _write_text(
-            Path(args.report),
-            json.dumps(result.report.to_dict(), sort_keys=True, indent=2) + "\n",
-        )
+        _write_json(args.report, result.report.to_dict())
     if args.debug_dir:
         debug_dir = Path(args.debug_dir)
         debug_dir.mkdir(parents=True, exist_ok=True)
         for entry in result.debug:
             name = f"debug_slice_{entry['slice_index']:03d}.json"
-            _write_text(debug_dir / name, json.dumps(entry, sort_keys=True, indent=2) + "\n")
+            _write_json(debug_dir / name, entry)
     return 0
 
 
@@ -200,17 +183,7 @@ def cmd_eval(args) -> int:
             raise ConfigurationError("eval needs --atlas-dir unless --loo is given")
         atlases = _load_atlases(Path(args.atlas_dir), cfg.extract.representative_slices)
 
-    results = evaluate_manifest(
-        cases,
-        atlases=atlases,
-        method=cfg.method,
-        cluster_cfg=cfg.cluster,
-        params=cfg.extract,
-        enhance=cfg.enhance,
-        formula=cfg.dice_formula,
-        loo=cfg.loo,
-        jobs=cfg.jobs,
-    )
+    results = evaluate_manifest(cases, atlases, cfg)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -227,8 +200,7 @@ def cmd_eval(args) -> int:
     _write_text(out_dir / f"results_{cfg.method}.csv", "\n".join(lines) + "\n")
 
     summary = [r.summary_dict() for r in results]
-    summary_text = json.dumps({"cohorts": summary}, sort_keys=True, indent=2) + "\n"
-    _write_text(out_dir / f"summary_{cfg.method}.json", summary_text)
+    _write_json(out_dir / f"summary_{cfg.method}.json", {"cohorts": summary})
     print(json.dumps({"cohorts": summary}, sort_keys=True))
     return 0
 
@@ -309,7 +281,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_method(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=["em", "kmeans"], default=None)
+    parser.add_argument("--method", choices=METHODS, default=None)
     parser.add_argument(
         "--cluster-background",
         dest="cluster_background",
@@ -358,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--manifest", required=True)
     p_eval.add_argument("--atlas-dir", default=None)
     p_eval.add_argument("--out-dir", required=True)
-    p_eval.add_argument("--dice-formula", choices=["standard", "paper-union"], default=None)
+    p_eval.add_argument("--dice-formula", choices=DICE_FORMULAS, default=None)
     p_eval.add_argument(
         "--loo",
         action="store_const",

@@ -118,6 +118,18 @@ def _initial_centers(values: np.ndarray, k: int, strategy: str, rng: np.random.G
     return values[idx].astype(np.float64)
 
 
+def _nearest(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``argmin(|values[:, None] - centers|, axis=1)`` (ties to the lower
+    index), one center at a time: numpy's argmin along a length-k row is slow."""
+    best = np.abs(values - centers[0])
+    assign = np.zeros(values.size, dtype=np.intp)
+    for j in range(1, centers.size):
+        dist = np.abs(values - centers[j])
+        assign[dist < best] = j
+        np.minimum(best, dist, out=best)
+    return assign
+
+
 def _sse(values: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
     return float(np.sum((values - centroids[assign]) ** 2))
 
@@ -131,8 +143,7 @@ def _lloyd(values: np.ndarray, centers: np.ndarray, max_iter: int):
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        dist = np.abs(values[:, None] - centers[None, :])
-        assign = np.argmin(dist, axis=1)  # ties go to the lower centroid index
+        assign = _nearest(values, centers)
         # Repair empty clusters: move each onto the value currently farthest
         # from its assigned centroid, then re-assign.
         while True:
@@ -142,8 +153,7 @@ def _lloyd(values: np.ndarray, centers: np.ndarray, max_iter: int):
             empty = int(np.flatnonzero(~occupied)[0])
             farthest = int(np.argmax(np.abs(values - centers[assign])))
             centers[empty] = values[farthest]
-            dist = np.abs(values[:, None] - centers[None, :])
-            assign = np.argmin(dist, axis=1)
+            assign = _nearest(values, centers)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         sums = np.bincount(assign, weights=values, minlength=k)
@@ -173,8 +183,7 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
         centroids = np.concatenate(
             [distinct, np.full(cfg.k - distinct.size, distinct[-1])]
         )
-        dist = np.abs(values[:, None] - centroids[None, :])
-        assign = np.argmin(dist, axis=1)
+        assign = _nearest(values, centroids)
         return KMeansResult(
             centroids=centroids,
             assignment=assign,
@@ -205,26 +214,28 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
 
 
 def _log_pdf_matrix(values, weights, means, variances, squares=None):
-    """Row i, column j: log(w_j * N(x_i | mu_j, var_j))."""
-    # Expanded quadratic keeps this to one (n, k) temporary.
+    """Row j, column i: log(w_j * N(x_i | mu_j, var_j)); components along rows
+    make the per-pixel max and sum in ``_e_step`` k elementwise passes."""
+    # Expanded quadratic keeps this to one (k, n) temporary.
     if squares is None:
         squares = values * values
     inv2 = -0.5 / variances
-    logp = squares[:, None] * inv2[None, :]
-    logp += values[:, None] * (-2.0 * means * inv2)[None, :]
-    logp += (means * means * inv2 - 0.5 * np.log(2.0 * np.pi * variances) + np.log(weights))[None, :]
+    logp = inv2[:, None] * squares[None, :]
+    logp += (-2.0 * means * inv2)[:, None] * values[None, :]
+    logp += (means * means * inv2 - 0.5 * np.log(2.0 * np.pi * variances) + np.log(weights))[:, None]
     return logp
 
 
 def _e_step(values, weights, means, variances, squares=None):
+    """Log-likelihood and the (n, k) posterior matrix."""
     logp = _log_pdf_matrix(values, weights, means, variances, squares)
-    top = logp.max(axis=1, keepdims=True)
-    np.subtract(logp, top, out=logp)
+    top = logp.max(axis=0)
+    logp -= top
     np.exp(logp, out=logp)
-    denom = logp.sum(axis=1, keepdims=True)
+    denom = logp.sum(axis=0)
     ll = float((top + np.log(denom)).sum())
-    np.divide(logp, denom, out=logp)
-    return ll, logp
+    logp /= denom
+    return ll, np.ascontiguousarray(logp.T)
 
 
 def _em_run(

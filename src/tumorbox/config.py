@@ -3,23 +3,60 @@
 Every tunable knob lives in one of three dataclasses
 (ClusterConfig, ExtractParams, EnhanceParams) composed into RunConfig.
 Values resolve with precedence: explicit CLI flag > JSON config file >
-dataclass default.
+dataclass default, and are checked once, when the RunConfig is built.
 """
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field, replace
 
-from .clustering import DEFAULT_SEED, ClusterConfig
-from .errors import ConfigurationError, FormatError
-from .evaluate import FORMULA_STANDARD
+from .clustering import DEFAULT_SEED, METHOD_EM, METHOD_KMEANS, ClusterConfig
+from .errors import ConfigurationError, FormatError, ValidationError
 from .pipeline import ExtractParams
 from .preprocess import EnhanceParams
 
+FORMULA_STANDARD = "standard"
+FORMULA_PAPER_UNION = "paper-union"
+DICE_FORMULAS = (FORMULA_STANDARD, FORMULA_PAPER_UNION)
+METHODS = (METHOD_EM, METHOD_KMEANS)
 
-@dataclass
+
+def _check_type(key: str, value, ftype):
+    """Return ``value`` if it fits the field annotation ``ftype``, else raise.
+
+    Booleans are not accepted as numbers, ints are accepted (and converted)
+    where a float is expected, and a list is accepted for a tuple.
+    """
+    if isinstance(ftype, types.UnionType):  # float | None
+        if value is None:
+            return None
+        (ftype,) = [t for t in typing.get_args(ftype) if t is not type(None)]
+    if typing.get_origin(ftype) is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(_check_type(key, v, typing.get_args(ftype)[0]) for v in value)
+        expected = f"a list of {typing.get_args(ftype)[0].__name__}"
+    elif ftype is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        expected = "a number"
+    else:
+        if isinstance(value, ftype) and not (ftype is int and isinstance(value, bool)):
+            return value
+        expected = ftype.__name__
+    raise ConfigurationError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    method: str = "em"
+    """All settings of one run, checked on construction.
+
+    ``seed`` and ``strict`` are set here only: construction copies them into
+    ``cluster.seed`` and ``extract.strict``, where the stages read them.
+    """
+
+    method: str = METHOD_EM
     seed: int = DEFAULT_SEED
     dice_formula: str = FORMULA_STANDARD
     strict: bool = False
@@ -30,23 +67,49 @@ class RunConfig:
     extract: ExtractParams = field(default_factory=ExtractParams)
     enhance: EnhanceParams = field(default_factory=EnhanceParams)
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            _check_type(f.name, getattr(self, f.name), f.type)
+        for key, allowed in (("method", METHODS), ("dice_formula", DICE_FORMULAS)):
+            if getattr(self, key) not in allowed:
+                raise ConfigurationError(
+                    f"config key {key!r} must be one of {', '.join(allowed)}, "
+                    f"got {getattr(self, key)!r}"
+                )
+        if self.jobs < 1:
+            raise ConfigurationError(f"config key 'jobs' must be >= 1, got {self.jobs}")
+        if self.seed < 0:
+            raise ConfigurationError(f"config key 'seed' must be >= 0, got {self.seed}")
+        object.__setattr__(self, "cluster", replace(self.cluster, seed=self.seed))
+        object.__setattr__(self, "extract", replace(self.extract, strict=self.strict))
+
 
 _NESTED = {"cluster": ClusterConfig, "extract": ExtractParams, "enhance": EnhanceParams}
-_TOP_LEVEL = {"method", "seed", "dice_formula", "strict", "loo", "jobs", "cluster_background"}
+_TOP_LEVEL = {f.name for f in dataclasses.fields(RunConfig)} - set(_NESTED)
 
 
-def _replace_known(instance, overrides: dict, section: str):
-    known = {f.name for f in dataclasses.fields(instance)}
-    unknown = set(overrides) - known
+def _build_section(section: str, values: dict):
+    cls = _NESTED[section]
+    types_by_name = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(values) - set(types_by_name)
     if unknown:
         raise ConfigurationError(
             f"unknown {section} config key(s): {', '.join(sorted(unknown))}"
         )
-    coerced = dict(overrides)
-    for key in ("representative_slices",):
-        if key in coerced and coerced[key] is not None:
-            coerced[key] = tuple(int(v) for v in coerced[key])
-    return replace(instance, **coerced)
+    shadowed = sorted(set(values) & _TOP_LEVEL)
+    if shadowed:
+        raise ConfigurationError(
+            f"config key '{section}.{shadowed[0]}' is not allowed; "
+            f"set {shadowed[0]!r} at the top level"
+        )
+    checked = {
+        key: _check_type(f"{section}.{key}", value, types_by_name[key])
+        for key, value in values.items()
+    }
+    try:
+        return cls(**checked)
+    except ValidationError as exc:
+        raise ConfigurationError(f"config section {section!r}: {exc}") from exc
 
 
 def load_config_file(path) -> dict:
@@ -57,11 +120,6 @@ def load_config_file(path) -> dict:
             raise FormatError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"config file {path} must hold a JSON object")
-    unknown = set(payload) - _TOP_LEVEL - set(_NESTED)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown config file key(s): {', '.join(sorted(unknown))}"
-        )
     return payload
 
 
@@ -71,27 +129,21 @@ def build_run_config(file_cfg: dict | None = None, flags: dict | None = None) ->
     ``flags`` entries with value None are treated as "not given". Nested
     flag keys use dotted names, e.g. ``extract.bbox_margin``.
     """
-    cfg = RunConfig()
-    for source in (file_cfg or {},):
-        for key, value in source.items():
-            if key in _NESTED:
-                if not isinstance(value, dict):
-                    raise ConfigurationError(f"config section {key!r} must be an object")
-                setattr(cfg, key, _replace_known(getattr(cfg, key), value, key))
-            else:
-                setattr(cfg, key, value)
-    for key, value in (flags or {}).items():
-        if value is None:
-            continue
-        if "." in key:
-            section, name = key.split(".", 1)
-            setattr(cfg, section, _replace_known(getattr(cfg, section), {name: value}, section))
+    merged: dict = {section: {} for section in _NESTED}
+    for key, value in (file_cfg or {}).items():
+        if key in _NESTED:
+            if not isinstance(value, dict):
+                raise ConfigurationError(f"config section {key!r} must be an object")
+            merged[key].update(value)
         else:
-            if key not in _TOP_LEVEL:
-                raise ConfigurationError(f"unknown flag key {key!r}")
-            setattr(cfg, key, value)
-    # The seed and strict flag live on RunConfig but act inside the nested
-    # configs; push them down so callers can pass cfg.cluster / cfg.extract.
-    cfg.cluster = replace(cfg.cluster, seed=int(cfg.seed))
-    cfg.extract = replace(cfg.extract, strict=bool(cfg.strict))
-    return cfg
+            merged[key] = value
+    for key, value in (flags or {}).items():
+        if value is not None:
+            section, _, name = key.rpartition(".")
+            (merged[section] if section else merged)[name] = value
+    unknown = set(merged) - _TOP_LEVEL - set(_NESTED)
+    if unknown:
+        raise ConfigurationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    for section in _NESTED:
+        merged[section] = _build_section(section, merged[section])
+    return RunConfig(**merged)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ClusterConfig
+from .config import DICE_FORMULAS, FORMULA_STANDARD, RunConfig
 from .errors import (
     EmptyGroundTruthError,
     FormatError,
@@ -24,14 +24,11 @@ from .errors import (
     ValidationError,
 )
 from .mha import read_mha
-from .pipeline import BBox, ExtractParams, PipelineReport, mask_bbox, run_pipeline
-from .preprocess import Atlas, EnhanceParams, build_atlas
+from .pipeline import BBox, PipelineReport, mask_bbox, run_pipeline
+from .preprocess import Atlas
 from .volume import KIND_LABEL, Slice, Volume, extract_slice
 
 log = logging.getLogger(__name__)
-
-FORMULA_STANDARD = "standard"
-FORMULA_PAPER_UNION = "paper-union"
 
 
 def binarize_gt(gt_slice: Slice) -> Slice:
@@ -72,7 +69,7 @@ def dice_box(a: BBox, b: BBox, dims: tuple[int, int], formula: str = FORMULA_STA
     2|A∩B| / (|A| + |B|); "paper-union" divides by |A∪B| instead, which
     exceeds 1 for nested boxes and is reported unclamped with a warning.
     """
-    if formula not in (FORMULA_STANDARD, FORMULA_PAPER_UNION):
+    if formula not in DICE_FORMULAS:
         raise ValidationError(f"unknown dice formula: {formula!r}")
     width, height = dims
     for box in (a, b):
@@ -155,11 +152,7 @@ def evaluate_case(
     volume: Volume,
     gt_volume: Volume,
     atlases,
-    method: str = "em",
-    cluster_cfg: ClusterConfig | None = None,
-    params: ExtractParams | None = None,
-    enhance: EnhanceParams | None = None,
-    formula: str = FORMULA_STANDARD,
+    cfg: RunConfig,
     case_id: str = "",
     cohort: str = "Phantom",
 ) -> CaseResult:
@@ -175,12 +168,13 @@ def evaluate_case(
         result = run_pipeline(
             volume,
             atlases,
-            method=method,
-            cluster_cfg=cluster_cfg,
-            params=params,
-            enhance=enhance,
+            method=cfg.method,
+            cluster_cfg=cfg.cluster,
+            params=cfg.extract,
+            enhance=cfg.enhance,
+            include_background=cfg.cluster_background,
         )
-        score = dice_box(result.bbox, box_gt, dims, formula)
+        score = dice_box(result.bbox, box_gt, dims, cfg.dice_formula)
         return CaseResult(
             case_id=case_id,
             cohort=cohort,
@@ -216,7 +210,8 @@ def read_manifest(path) -> list[ManifestCase]:
     """Read a case manifest CSV with header intensity_path,gt_path,cohort.
 
     Relative paths resolve against the manifest's own directory, so a
-    generated phantom directory is self-contained.
+    generated phantom directory is self-contained. Two rows with the same
+    case ID are rejected, since results are keyed by it.
     """
     path = Path(path)
     base = path.parent
@@ -231,9 +226,12 @@ def read_manifest(path) -> list[ManifestCase]:
         for row in reader:
             intensity = Path(row["intensity_path"])
             gt = Path(row["gt_path"])
+            case_id = intensity.name.replace(".mha", "").replace(".mhd", "")
+            if any(c.case_id == case_id for c in cases):
+                raise FormatError(f"manifest {path} lists case {case_id!r} twice")
             cases.append(
                 ManifestCase(
-                    case_id=intensity.name.replace(".mha", "").replace(".mhd", ""),
+                    case_id=case_id,
                     intensity_path=intensity if intensity.is_absolute() else base / intensity,
                     gt_path=gt if gt.is_absolute() else base / gt,
                     cohort=row["cohort"].strip(),
@@ -246,18 +244,6 @@ def _gt_rep_masks(gt_volume: Volume, rep_slices: tuple[int, ...]) -> dict[int, n
     return {
         n: (extract_slice(gt_volume, n).data != 0).astype(np.int32) for n in rep_slices
     }
-
-
-def build_atlases_from_manifest(
-    cases: list[ManifestCase], rep_slices: tuple[int, ...]
-) -> dict[int, Atlas]:
-    """Build one atlas per representative slice from the manifest's GTs."""
-    slices_by_index: dict[int, list[Slice]] = {n: [] for n in rep_slices}
-    for case in cases:
-        gt = read_mha(case.gt_path, kind=KIND_LABEL)
-        for n in rep_slices:
-            slices_by_index[n].append(extract_slice(gt, n))
-    return {n: build_atlas(slices_by_index[n]) for n in rep_slices}
 
 
 def _loo_atlases(
@@ -275,20 +261,10 @@ def _loo_atlases(
     return out
 
 
-def evaluate_cohort(
-    cases: list[ManifestCase],
-    atlases=None,
-    method: str = "em",
-    cluster_cfg: ClusterConfig | None = None,
-    params: ExtractParams | None = None,
-    enhance: EnhanceParams | None = None,
-    formula: str = FORMULA_STANDARD,
-    loo: bool = False,
-    jobs: int = 1,
-) -> CohortResult:
+def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> CohortResult:
     """Evaluate the cases of one cohort and aggregate their Dice scores.
 
-    With ``loo`` the atlases are rebuilt per case from the other cases'
+    With ``cfg.loo`` the atlases are rebuilt per case from the other cases'
     ground truths (train/test hygiene when the manifest provided the atlas
     data); otherwise ``atlases`` must be supplied.
     """
@@ -298,16 +274,15 @@ def evaluate_cohort(
     if len(cohorts) != 1:
         raise ValidationError(f"evaluate_cohort expects a single cohort, got {sorted(cohorts)}")
     cohort = cohorts.pop()
-    params = params or ExtractParams()
-    if not loo and atlases is None:
+    if not cfg.loo and atlases is None:
         raise ValidationError("evaluate_cohort needs atlases unless loo is set")
-    if loo and len(cases) < 2:
+    if cfg.loo and len(cases) < 2:
         raise ValidationError("leave-one-out needs at least two cases")
 
-    rep = params.representative_slices
+    rep = cfg.extract.representative_slices
     total_counts: dict[int, np.ndarray] = {}
     per_case_masks: list[dict[int, np.ndarray] | None] = [None] * len(cases)
-    if loo:
+    if cfg.loo:
         for i, case in enumerate(cases):
             try:
                 gt = read_mha(case.gt_path, kind=KIND_LABEL)
@@ -329,34 +304,25 @@ def evaluate_cohort(
             volume = read_mha(case.intensity_path)
             gt_volume = read_mha(case.gt_path, kind=KIND_LABEL)
             case_atlases = atlases
-            if loo:
+            if cfg.loo:
                 if per_case_masks[i] is None:
                     raise FormatError("ground truth unreadable during atlas prepass")
                 case_atlases = _loo_atlases(total_counts, per_case_masks[i], num_readable)
             return evaluate_case(
-                volume,
-                gt_volume,
-                case_atlases,
-                method=method,
-                cluster_cfg=cluster_cfg,
-                params=params,
-                enhance=enhance,
-                formula=formula,
-                case_id=case.case_id,
-                cohort=case.cohort,
+                volume, gt_volume, case_atlases, cfg, case_id=case.case_id, cohort=case.cohort
             )
         except (TumorBoxError, OSError) as exc:
             log.error("case %s skipped: %s", case.case_id, exc)
             return ErrorRecord(case_id=case.case_id, cohort=case.cohort, message=str(exc))
 
     indexed = list(enumerate(cases))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    if cfg.jobs > 1:
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             outcomes = list(pool.map(run_one, indexed))
     else:
         outcomes = [run_one(ic) for ic in indexed]
 
-    result = CohortResult(cohort=cohort, method=method, dice_formula=formula)
+    result = CohortResult(cohort=cohort, method=cfg.method, dice_formula=cfg.dice_formula)
     for outcome in outcomes:
         if isinstance(outcome, ErrorRecord):
             result.errors.append(outcome)
@@ -365,32 +331,9 @@ def evaluate_cohort(
     return result
 
 
-def evaluate_manifest(
-    cases: list[ManifestCase],
-    atlases=None,
-    method: str = "em",
-    cluster_cfg: ClusterConfig | None = None,
-    params: ExtractParams | None = None,
-    enhance: EnhanceParams | None = None,
-    formula: str = FORMULA_STANDARD,
-    loo: bool = False,
-    jobs: int = 1,
-) -> list[CohortResult]:
+def evaluate_manifest(cases: list[ManifestCase], atlases, cfg: RunConfig) -> list[CohortResult]:
     """Group manifest cases by cohort and evaluate each group."""
     by_cohort: dict[str, list[ManifestCase]] = {}
     for case in cases:
         by_cohort.setdefault(case.cohort, []).append(case)
-    return [
-        evaluate_cohort(
-            group,
-            atlases=atlases,
-            method=method,
-            cluster_cfg=cluster_cfg,
-            params=params,
-            enhance=enhance,
-            formula=formula,
-            loo=loo,
-            jobs=jobs,
-        )
-        for _, group in sorted(by_cohort.items())
-    ]
+    return [evaluate_cohort(group, atlases, cfg) for _, group in sorted(by_cohort.items())]

@@ -6,12 +6,11 @@ file. Anything else is rejected rather than guessed at.
 """
 
 import logging
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import FormatError, TruncatedDataError, UnsupportedFeatureError
 from .volume import KIND_INTENSITY, KIND_LABEL, Volume
 
@@ -208,13 +207,6 @@ def write_mha(volume: Volume, path) -> None:
     )
     payload = np.ascontiguousarray(volume.data, dtype=dtype).tobytes()
 
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            fh.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(payload)

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import FormatError, ValidationError
 from .volume import KIND_LABEL, Volume
 
@@ -90,7 +91,8 @@ def spec_from_dict(d: dict) -> PhantomSpec:
 
 
 def save_spec(spec: PhantomSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``spec`` as JSON; the write is atomic."""
+    with atomic_open(path) as fh:
         json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

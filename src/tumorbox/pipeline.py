@@ -215,18 +215,16 @@ def extract_tumor_map(label_map: LabelMap, params: ExtractParams | None = None) 
     )
 
 
-def _quadrant_regions(height: int, width: int) -> list[np.ndarray]:
-    """Quadrants 1..4 = TL, TR, BL, BR; odd sizes give the extra row/column
-    to the top/left blocks (ceil split)."""
+def _quadrant_slices(height: int, width: int) -> list[tuple[slice, slice]]:
+    """(rows, cols) of quadrants 1..4 = TL, TR, BL, BR; odd sizes give the
+    extra row/column to the top/left blocks (ceil split)."""
     row_split = ceil(height / 2)
     col_split = ceil(width / 2)
-    regions = []
-    for rows in ((0, row_split), (row_split, height)):
-        for cols in ((0, col_split), (col_split, width)):
-            region = np.zeros((height, width), dtype=bool)
-            region[rows[0]:rows[1], cols[0]:cols[1]] = True
-            regions.append(region)
-    return regions
+    return [
+        (rows, cols)
+        for rows in (slice(0, row_split), slice(row_split, height))
+        for cols in (slice(0, col_split), slice(col_split, width))
+    ]
 
 
 def _check_same_dims(maps: Iterable[TumorMap]) -> tuple[int, int]:
@@ -238,8 +236,11 @@ def _check_same_dims(maps: Iterable[TumorMap]) -> tuple[int, int]:
 
 def quadrant_marks(tumor_map: TumorMap, min_pixels: int = 1) -> tuple[bool, bool, bool, bool]:
     """Which quadrants this map marks with at least ``min_pixels`` detections."""
-    regions = _quadrant_regions(tumor_map.height, tumor_map.width)
-    return tuple(int((tumor_map.mask & r).sum()) >= min_pixels for r in regions)
+    quadrants = _quadrant_slices(tumor_map.height, tumor_map.width)
+    return tuple(
+        int(np.count_nonzero(tumor_map.mask[rows, cols])) >= min_pixels
+        for rows, cols in quadrants
+    )
 
 
 def quadrant_votes(maps: list[TumorMap], params: ExtractParams | None = None) -> tuple[int, int, int, int]:
@@ -283,11 +284,11 @@ def fuse_maps(maps: list[TumorMap], params: ExtractParams | None = None) -> Fuse
 
     fallback = False
     if winners:
-        regions = _quadrant_regions(height, width)
-        keep = np.zeros((height, width), dtype=bool)
+        quadrants = _quadrant_slices(height, width)
+        fused_mask = np.zeros((height, width), dtype=bool)
         for q in winners:
-            keep |= regions[q - 1]
-        fused_mask = union & keep
+            rows, cols = quadrants[q - 1]
+            fused_mask[rows, cols] = union[rows, cols]
     elif params.strict:
         raise NoTumorDetectedError(
             f"no quadrant reached the vote threshold {params.vote_threshold} (votes {votes})"

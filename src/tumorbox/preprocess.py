@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import FormatError, ValidationError
 from .volume import Slice
 
@@ -145,6 +146,7 @@ def enhance_contrast(slc: Slice, atlas: Atlas, params: EnhanceParams | None = No
 
 
 def save_atlas(atlas: Atlas, path) -> None:
+    """Write ``atlas`` as JSON; the write is atomic."""
     payload = {
         "slice_index": atlas.slice_index,
         "width": atlas.width,
@@ -152,7 +154,7 @@ def save_atlas(atlas: Atlas, path) -> None:
         "num_patients": atlas.num_patients,
         "counts": atlas.counts.reshape(-1).tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
 

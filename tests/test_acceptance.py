@@ -25,6 +25,7 @@ from conftest import PHANTOM_REP_SLICES, make_phantom_spec, make_slice
 from tumorbox.cli import main as cli_main
 from tumorbox.clustering import ClusterConfig, em_gmm_1d, kmeans_1d
 from tumorbox.components import connected_components
+from tumorbox.config import RunConfig
 from tumorbox.evaluate import (
     binarize_gt,
     cumulative_gt,
@@ -60,7 +61,9 @@ def test_brats_cohort_reference_scores():
     for formula in ("standard", "paper-union"):
         for method, cohort_targets in expected.items():
             results = evaluate_manifest(
-                manifest, method=method, params=params, formula=formula, loo=True
+                manifest,
+                None,
+                RunConfig(method=method, extract=params, dice_formula=formula, loo=True),
             )
             for res in results:
                 print(

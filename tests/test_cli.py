@@ -317,6 +317,31 @@ class TestEval:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["cohorts"][0]["formula"] == "paper-union"
 
+    def test_cluster_background_reaches_pipeline(
+        self, phantom_dir, atlas_dir, tmp_path, monkeypatch, capsys
+    ):
+        import tumorbox.evaluate as ev
+
+        seen = []
+        real = ev.run_pipeline
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("include_background"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "run_pipeline", spy)
+        code = run([
+            "eval",
+            "--manifest", str(phantom_dir / "manifest.csv"),
+            "--atlas-dir", str(atlas_dir),
+            "--out-dir", str(tmp_path / "bg"),
+            "--slices", SMALL_SLICES,
+            "--method", "kmeans",
+            "--cluster-background",
+        ])
+        assert code == 0
+        assert seen == [True, True, True]
+
     def test_jobs_flag_same_result(self, phantom_dir, atlas_dir, tmp_path, capsys):
         outs = []
         for name, jobs in (("j1", "1"), ("j2", "2")):
@@ -379,3 +404,46 @@ class TestConfigPrecedence:
 
     def test_usage_error_exit_code(self):
         assert run(["extract"]) == 2
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "file_cfg, flags, key",
+        [
+            ({"method": "bogus"}, [], "method"),
+            ({"dice_formula": "bogus"}, [], "dice_formula"),
+            ({"jobs": 0}, [], "jobs"),
+            ({}, ["--jobs", "-3"], "jobs"),
+            ({"seed": "abc"}, [], "seed"),
+            ({}, ["--seed", "-1"], "seed"),
+            ({"strict": "no"}, [], "strict"),
+            ({"extract": {"radius_margin": "1.0"}}, [], "extract.radius_margin"),
+            ({"cluster": {"seed": 7}}, [], "seed"),
+            ({"extract": {"strict": True}}, [], "strict"),
+        ],
+    )
+    def test_bad_config_exits_2_before_any_case(
+        self, phantom_dir, atlas_dir, tmp_path, monkeypatch, caplog, file_cfg, flags, key
+    ):
+        import tumorbox.evaluate as ev
+
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case ran despite a bad config")
+
+        monkeypatch.setattr(ev, "run_pipeline", no_case)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        out = tmp_path / "results"
+        with caplog.at_level("ERROR"):
+            code = run([
+                "eval",
+                "--manifest", str(phantom_dir / "manifest.csv"),
+                "--atlas-dir", str(atlas_dir),
+                "--out-dir", str(out),
+                "--slices", SMALL_SLICES,
+                "--config", str(cfg),
+                *flags,
+            ])
+        assert code == 2
+        assert not list(tmp_path.rglob("results_*.csv"))
+        assert any(key in rec.getMessage() for rec in caplog.records)

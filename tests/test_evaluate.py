@@ -5,6 +5,7 @@ from oracles import binarize_loop, cumulative_loop, dice_enumerated
 from conftest import PHANTOM_REP_SLICES, make_slice
 
 import tumorbox.evaluate as ev
+from tumorbox.config import RunConfig
 from tumorbox.errors import EmptyGroundTruthError, FormatError, ValidationError
 from tumorbox.evaluate import (
     ManifestCase,
@@ -163,7 +164,7 @@ class TestEvaluateCase:
     def test_phantom_em_scores_high(self, phantom_cases, phantom_atlases):
         spec, vol, gt = phantom_cases[0]
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
-        result = evaluate_case(vol, gt, phantom_atlases, method="em", params=params)
+        result = evaluate_case(vol, gt, phantom_atlases, RunConfig(method="em", extract=params))
         assert not result.failed
         assert result.dice >= 0.7
 
@@ -177,14 +178,14 @@ class TestEvaluateCase:
 
         monkeypatch.setattr(ev, "run_pipeline", lambda *a, **k: Fake())
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES)
-        result = evaluate_case(vol, gt, phantom_atlases, params=params)
+        result = evaluate_case(vol, gt, phantom_atlases, RunConfig(extract=params))
         assert result.dice == 1.0
 
     def test_failed_detection_scores_zero_with_flag(self, phantom_cases, phantom_atlases):
         spec, _, gt = phantom_cases[0]
         zero = Volume(data=np.zeros((64, 128, 128)))
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES)
-        result = evaluate_case(zero, gt, phantom_atlases, params=params)
+        result = evaluate_case(zero, gt, phantom_atlases, RunConfig(extract=params))
         assert result.failed
         assert result.dice == 0.0
         assert result.bbox_pred is None
@@ -206,6 +207,17 @@ class TestManifest:
         with pytest.raises(FormatError):
             read_manifest(man)
 
+    def test_duplicate_case_id_rejected(self, tmp_path):
+        # the same file name in two directories maps to one case ID
+        man = tmp_path / "dup.csv"
+        man.write_text(
+            "intensity_path,gt_path,cohort\n"
+            "a/case_flair.mha,a/case_gt.mha,HGG\n"
+            "b/case_flair.mha,b/case_gt.mha,LGG\n"
+        )
+        with pytest.raises(FormatError, match="case_flair"):
+            read_manifest(man)
+
 
 def write_phantom_manifest(tmp_path, cases):
     lines = ["intensity_path,gt_path,cohort"]
@@ -223,7 +235,7 @@ class TestEvaluateCohort:
         man = write_phantom_manifest(tmp_path, phantom_cases[:1])
         cases = read_manifest(man)
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
-        result = evaluate_cohort(cases, atlases=phantom_atlases, method="kmeans", params=params)
+        result = evaluate_cohort(cases, phantom_atlases, RunConfig(method="kmeans", extract=params))
         assert result.n == 1
         assert result.mean_dice == pytest.approx(result.cases[0].dice)
 
@@ -233,7 +245,7 @@ class TestEvaluateCohort:
         man.write_text(text)
         cases = read_manifest(man)
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
-        result = evaluate_cohort(cases, atlases=phantom_atlases, method="kmeans", params=params)
+        result = evaluate_cohort(cases, phantom_atlases, RunConfig(method="kmeans", extract=params))
         assert result.n == 1
         assert len(result.errors) == 1
         assert result.errors[0].case_id == "ghost_flair"
@@ -243,15 +255,16 @@ class TestEvaluateCohort:
         man = write_phantom_manifest(tmp_path, phantom_cases)
         cases = read_manifest(man)
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
-        fwd = evaluate_cohort(cases, atlases=phantom_atlases, method="kmeans", params=params)
-        rev = evaluate_cohort(cases[::-1], atlases=phantom_atlases, method="kmeans", params=params)
+        cfg = RunConfig(method="kmeans", extract=params)
+        fwd = evaluate_cohort(cases, phantom_atlases, cfg)
+        rev = evaluate_cohort(cases[::-1], phantom_atlases, cfg)
         assert fwd.mean_dice == pytest.approx(rev.mean_dice, abs=1e-12)
 
     def test_loo_excludes_own_ground_truth(self, tmp_path, phantom_cases):
         man = write_phantom_manifest(tmp_path, phantom_cases)
         cases = read_manifest(man)
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
-        result = evaluate_cohort(cases, method="kmeans", params=params, loo=True)
+        result = evaluate_cohort(cases, None, RunConfig(method="kmeans", extract=params, loo=True))
         assert result.n == len(phantom_cases)
         assert all(not c.failed for c in result.cases)
 
@@ -259,7 +272,7 @@ class TestEvaluateCohort:
         man = write_phantom_manifest(tmp_path, phantom_cases[:1])
         cases = read_manifest(man)
         with pytest.raises(ValidationError):
-            evaluate_cohort(cases, method="kmeans", loo=True)
+            evaluate_cohort(cases, None, RunConfig(method="kmeans", loo=True))
 
     def test_mixed_cohorts_rejected(self):
         cases = [
@@ -267,7 +280,7 @@ class TestEvaluateCohort:
             ManifestCase("b", "b.mha", "bg.mha", "LGG"),
         ]
         with pytest.raises(ValidationError):
-            evaluate_cohort(cases, atlases={})
+            evaluate_cohort(cases, {}, RunConfig())
 
     def test_manifest_grouped_per_cohort(self, tmp_path, phantom_cases, phantom_atlases):
         from tumorbox.evaluate import evaluate_manifest
@@ -282,7 +295,7 @@ class TestEvaluateCohort:
         man.write_text("\n".join(lines) + "\n")
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
         results = evaluate_manifest(
-            read_manifest(man), atlases=phantom_atlases, method="kmeans", params=params
+            read_manifest(man), phantom_atlases, RunConfig(method="kmeans", extract=params)
         )
         assert [r.cohort for r in results] == ["HGG", "LGG"]
         assert all(r.n == 1 for r in results)

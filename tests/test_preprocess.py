@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,21 @@ class TestAtlasIO:
         assert back.slice_index == 87
         assert back.num_patients == 5
         assert np.array_equal(back.counts, counts)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "atlas_slice_087.json"
+        save_atlas(Atlas(slice_index=87, num_patients=1, counts=np.ones((2, 2), dtype=np.int32)), path)
+        before = path.read_bytes()
+
+        def fail_midway(obj, fh, **kwargs):
+            fh.write('{"slice_index": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", fail_midway)
+        with pytest.raises(OSError, match="disk full"):
+            save_atlas(Atlas(slice_index=87, num_patients=2, counts=np.zeros((2, 2), dtype=np.int32)), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_counts_above_num_patients_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
