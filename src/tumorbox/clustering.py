@@ -1,8 +1,9 @@
 """1-D intensity clustering: Lloyd K-means and Gaussian-mixture EM.
 
-Both algorithms operate on the raw pixel intensities of a slice. K-means
-gives a hard assignment; EM fits a Gaussian mixture and yields per-pixel
-posterior probabilities that are hard-assigned downstream. ``segment_slice``
+K-means runs on the distinct intensities of a slice, each weighted by its
+pixel count, and expands its hard assignment back to the pixels; EM fits a
+Gaussian mixture to the raw pixel intensities and yields per-pixel posterior
+probabilities that are hard-assigned downstream. ``segment_slice``
 turns either result into a label map whose classes are ranked by mean
 intensity, so for k=5 the brightest class is label 5.
 """
@@ -130,36 +131,37 @@ def _nearest(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return assign
 
 
-def _sse(values: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
-    return float(np.sum((values - centroids[assign]) ** 2))
-
-
-def _lloyd(values: np.ndarray, centers: np.ndarray, max_iter: int):
-    """One Lloyd run; returns (centroids, assignment, objective trace, iters)."""
+def _lloyd(distinct: np.ndarray, counts: np.ndarray, first: np.ndarray, centers: np.ndarray, max_iter: int):
+    """One Lloyd run over the distinct values, each weighted by its pixel
+    count; ``first`` is each value's first pixel index. Returns (centroids,
+    per-value assignment, objective trace, iters)."""
     k = centers.size
     centers = centers.astype(np.float64).copy()
+    mass = distinct * counts
     prev_assign = None
     trace: list[float] = []
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        assign = _nearest(values, centers)
+        assign = _nearest(distinct, centers)
         # Repair empty clusters: move each onto the value currently farthest
-        # from its assigned centroid, then re-assign.
+        # from its assigned centroid (the earliest in pixel order among
+        # ties), then re-assign.
         while True:
             occupied = np.bincount(assign, minlength=k) > 0
             if occupied.all():
                 break
             empty = int(np.flatnonzero(~occupied)[0])
-            farthest = int(np.argmax(np.abs(values - centers[assign])))
-            centers[empty] = values[farthest]
-            assign = _nearest(values, centers)
+            dist = np.abs(distinct - centers[assign])
+            tied = np.flatnonzero(dist == dist.max())
+            centers[empty] = distinct[tied[np.argmin(first[tied])]]
+            assign = _nearest(distinct, centers)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
-        sums = np.bincount(assign, weights=values, minlength=k)
-        counts = np.bincount(assign, minlength=k)
-        centers = sums / counts
-        trace.append(_sse(values, centers, assign))
+        centers = np.bincount(assign, weights=mass, minlength=k) / np.bincount(
+            assign, weights=counts, minlength=k
+        )
+        trace.append(float(np.sum(counts * (distinct - centers[assign]) ** 2)))
         prev_assign = assign
     return centers, prev_assign, trace, iterations
 
@@ -169,24 +171,28 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
 
     Restart 0 uses the configured initialisation (quantile spread by
     default); further restarts draw random data points, honouring the random
-    start while keeping the default run deterministic. With fewer distinct
-    values than k the distinct values become centroids, the remainder are
-    duplicates, and the result is flagged degenerate.
+    start while keeping the default run deterministic. Starts are drawn from
+    the pixels; Lloyd then runs on the distinct values weighted by their
+    counts, which gives the per-pixel result at a cost that scales with the
+    number of distinct values. With fewer distinct values than k the
+    distinct values become centroids, the remainder are duplicates, and the
+    result is flagged degenerate.
     """
     cfg = cfg or ClusterConfig()
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if values.size == 0:
         raise ValidationError("kmeans_1d needs at least one value")
 
-    distinct = np.unique(values)
+    distinct, first, inverse, counts = np.unique(
+        values, return_index=True, return_inverse=True, return_counts=True
+    )
     if distinct.size < cfg.k:
         centroids = np.concatenate(
             [distinct, np.full(cfg.k - distinct.size, distinct[-1])]
         )
-        assign = _nearest(values, centroids)
         return KMeansResult(
             centroids=centroids,
-            assignment=assign,
+            assignment=_nearest(distinct, centroids)[inverse],
             objective=0.0,
             objective_trace=[0.0],
             n_iter=0,
@@ -198,18 +204,18 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
     for restart in range(cfg.n_restarts):
         strategy = cfg.init if restart == 0 else INIT_RANDOM_FROM_DATA
         centers0 = _initial_centers(values, cfg.k, strategy, rng)
-        centroids, assign, trace, iterations = _lloyd(values, centers0, cfg.max_iter)
-        objective = trace[-1] if trace else _sse(values, centroids, assign)
-        if best is None or objective < best.objective:
+        centroids, assign, trace, iterations = _lloyd(distinct, counts, first, centers0, cfg.max_iter)
+        if best is None or trace[-1] < best.objective:
             best = KMeansResult(
                 centroids=centroids,
                 assignment=assign,
-                objective=objective,
+                objective=trace[-1],
                 objective_trace=trace,
                 n_iter=iterations,
                 degenerate=False,
                 best_restart=restart,
             )
+    best.assignment = best.assignment[inverse]
     return best
 
 

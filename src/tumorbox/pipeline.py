@@ -382,7 +382,8 @@ def run_pipeline(
 
     ``atlases`` maps slice index to Atlas (an iterable of Atlas works too)
     and must cover every representative slice. Raises NoTumorDetectedError,
-    with the report attached, when the fused map is empty.
+    with the report attached, when the fused map is empty or, in strict
+    mode, when no quadrant wins the vote.
     """
     cluster_cfg = cluster_cfg or ClusterConfig()
     params = params or ExtractParams()
@@ -438,7 +439,20 @@ def run_pipeline(
         if collect_debug:
             debug.append(_segmentation_debug(enhanced, method, cluster_cfg, include_background))
 
-    fusion = timed("fuse", fuse_maps, maps, params)
+    try:
+        fusion = timed("fuse", fuse_maps, maps, params)
+    except NoTumorDetectedError as exc:
+        # strict mode and no winning quadrant: report the votes, no box
+        report = PipelineReport(
+            method=method,
+            slices=slice_reports,
+            votes=quadrant_votes(maps, params),
+            winners=(),
+            fallback_used=False,
+            bbox=None,
+            timings_ms=timings,
+        )
+        raise NoTumorDetectedError(str(exc), report=report) from exc
     report = PipelineReport(
         method=method,
         slices=slice_reports,

@@ -159,3 +159,56 @@ def dice_enumerated(box_a, box_b, formula: str) -> float:
     if formula == "standard":
         return 2.0 * inter / (len(a) + len(b))
     return 2.0 * inter / len(a | b)
+
+
+def kmeans_pixel_lloyd(values, k: int, seed: int, n_restarts: int, max_iter: int, random_first: bool = False):
+    """Best-of-restarts Lloyd K-means over every pixel, as the package ran it
+    before clustering moved to distinct values.
+
+    Same starts (quantile spread for restart 0 unless ``random_first``, then
+    data points drawn from ``default_rng(seed)``), same lower-index tie rule
+    and same empty-cluster repair (the pixel farthest from its centroid, the
+    first one among ties). Returns (centroids, assignment, objective, n_iter,
+    best_restart, degenerate).
+    """
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+
+    def nearest(centers):
+        return np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1)
+
+    distinct = np.unique(values)
+    if distinct.size < k:
+        centers = np.concatenate([distinct, np.full(k - distinct.size, distinct[-1])])
+        return centers, nearest(centers), 0.0, 0, 0, True
+
+    rng = np.random.default_rng(seed)
+    best = None
+    for restart in range(n_restarts):
+        if restart == 0 and not random_first:
+            qs = (2 * np.arange(1, k + 1) - 1) / (2 * k)
+            centers = np.quantile(values, qs)
+        else:
+            idx = rng.choice(values.size, size=k, replace=values.size < k)
+            centers = values[idx].astype(np.float64)
+        prev = None
+        sse = None
+        iterations = 0
+        for _ in range(max_iter):
+            iterations += 1
+            assign = nearest(centers)
+            while True:
+                occupied = np.bincount(assign, minlength=k) > 0
+                if occupied.all():
+                    break
+                empty = int(np.flatnonzero(~occupied)[0])
+                farthest = int(np.argmax(np.abs(values - centers[assign])))
+                centers[empty] = values[farthest]
+                assign = nearest(centers)
+            if prev is not None and np.array_equal(assign, prev):
+                break
+            centers = np.bincount(assign, weights=values, minlength=k) / np.bincount(assign, minlength=k)
+            sse = float(np.sum((values - centers[assign]) ** 2))
+            prev = assign
+        if best is None or sse < best[2]:
+            best = (centers, prev, sse, iterations, restart, False)
+    return best

@@ -179,6 +179,23 @@ class TestExtract:
         ])
         assert code == 3
 
+    def test_tumour_free_strict_exits_3_and_writes_report(self, tmp_path, atlas_dir):
+        zero = tmp_path / "zero.mha"
+        report_path = tmp_path / "report.json"
+        write_mha(Volume(data=np.zeros((24, 48, 48))), zero)
+        code = run([
+            "extract", "--volume", str(zero), "--atlas-dir", str(atlas_dir),
+            "--slices", SMALL_SLICES, "--strict", "--report", str(report_path),
+        ])
+        assert code == 3
+        report = json.loads(report_path.read_text())
+        assert report["votes"] == [0, 0, 0, 0]
+        assert report["winning_quadrants"] == []
+        assert report["fallback_used"] is False
+        assert report["bbox"] is None
+        assert [s["slice_index"] for s in report["slices"]] == [10, 11, 12, 13, 14, 15]
+        assert all(s["empty"] for s in report["slices"])
+
     def test_zero_volume_nonstrict_warns(self, tmp_path, atlas_dir, capsys):
         zero = tmp_path / "zero.mha"
         write_mha(Volume(data=np.zeros((24, 48, 48))), zero)

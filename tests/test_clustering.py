@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import kmeans_dp_objective
+from oracles import kmeans_dp_objective, kmeans_pixel_lloyd
 from conftest import make_slice
 
 from tumorbox.clustering import (
@@ -86,6 +86,52 @@ class TestKMeans:
     def test_empty_values_rejected(self):
         with pytest.raises(ValidationError):
             kmeans_1d([], ClusterConfig(k=2))
+
+
+def assert_matches_pixel_lloyd(values, cfg):
+    res = kmeans_1d(values, cfg)
+    centroids, assign, objective, n_iter, best_restart, degenerate = kmeans_pixel_lloyd(
+        values, cfg.k, cfg.seed, cfg.n_restarts, cfg.max_iter,
+        random_first=cfg.init == "random-from-data",
+    )
+    assert np.array_equal(res.assignment, assign)
+    assert (res.n_iter, res.best_restart, res.degenerate) == (n_iter, best_restart, degenerate)
+    np.testing.assert_allclose(res.centroids, centroids, rtol=1e-12, atol=0)
+    assert res.objective == pytest.approx(objective, rel=1e-12, abs=0)
+
+
+class TestKMeansMatchesPixelLloyd:
+    """Lloyd over weighted distinct values reproduces Lloyd over every pixel."""
+
+    @pytest.mark.parametrize("init", ["quantile-spread", "random-from-data"])
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    def test_integer_values_with_heavy_repeats(self, k, init):
+        rng = np.random.default_rng(300 + k)
+        for trial in range(8):
+            # a wide background mode, a bright small mode and sparse outliers:
+            # about 80 distinct integers over 1720 pixels, so random starts
+            # often draw one value twice and the empty-cluster repair runs
+            values = np.concatenate([
+                rng.normal(60, 8, 1500).round(),
+                rng.normal(110, 4, 200).round(),
+                rng.integers(0, 160, 20),
+            ])
+            rng.shuffle(values)
+            assert_matches_pixel_lloyd(values, ClusterConfig(k=k, seed=trial, init=init))
+
+    def test_fewer_distinct_values_than_k(self):
+        assert_matches_pixel_lloyd([4.0, 1.0, 4.0, 1.0, 9.0], ClusterConfig(k=5))
+
+    def test_repair_after_duplicate_draws_picks_first_pixel_among_ties(self):
+        # Almost every pixel is 5, so random starts draw 5 three times: two
+        # clusters come up empty and the repair must choose between 10 and
+        # 0, both at distance 5. Pixel order puts 10 first, value order 0.
+        values = np.array([10.0, 0.0] + [5.0] * 98)
+        cfg = ClusterConfig(k=3, seed=0, n_restarts=4, init="random-from-data")
+        rng = np.random.default_rng(cfg.seed)
+        drawn = [values[rng.choice(values.size, size=3, replace=False)] for _ in range(cfg.n_restarts)]
+        assert any(np.all(d == 5.0) for d in drawn)
+        assert_matches_pixel_lloyd(values, cfg)
 
 
 class TestEm:

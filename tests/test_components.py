@@ -61,3 +61,84 @@ def test_empty_mask_gives_empty_list():
 def test_connectivity_validation():
     with pytest.raises(ValidationError):
         connected_components(np.zeros((2, 2), dtype=bool), connectivity=6)
+
+
+def spiral_mask(size: int, gap: int) -> np.ndarray:
+    """A square spiral of 1-pixel-wide arms, ``gap`` free pixels apart."""
+    mask = np.zeros((size, size), dtype=bool)
+    r = c = size // 2
+    step = gap + 1
+    length = step
+    dr, dc = 0, 1
+    while True:
+        for _ in range(2):
+            for _ in range(length):
+                if not (0 <= r < size and 0 <= c < size):
+                    return mask
+                mask[r, c] = True
+                r, c = r + dr, c + dc
+            dr, dc = dc, -dr
+        length += step
+
+
+def u_shapes_mask(size: int) -> np.ndarray:
+    """Nested U shapes and a comb: arms that meet only at their bottom row,
+    so their runs merge late in the scan."""
+    mask = np.zeros((size, size), dtype=bool)
+    for depth, half in enumerate(range(50, 10, -8)):
+        top, bottom = 10 + 4 * depth, 110 - 4 * depth
+        left, right = 60 - half, 60 + half
+        mask[top:bottom, left] = mask[top:bottom, right] = True
+        mask[bottom - 1, left:right + 1] = True
+    mask[130:200, 20:220:4] = True        # comb teeth
+    mask[199, 20:217] = True              # joined by the last row
+    mask[140:150, 150] = False            # tooth cut into two pieces
+    mask[210:230, 100:140] = True         # solid block touching nothing
+    mask[230, 140] = True                 # diagonal neighbour of the block
+    return mask
+
+
+def scipy_components(mask, connectivity):
+    """(anchor -> (area, centroid, row-major pixels)) from scipy.ndimage.label."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
+    labels, count = ndimage.label(mask, structure=structure)
+    coords = np.argwhere(labels)  # row-major
+    order = np.argsort(labels[labels > 0], kind="stable")
+    groups = np.split(coords[order], np.cumsum(np.bincount(labels.ravel())[1:])[:-1])
+    return {
+        tuple(pixels[0].tolist()): (len(pixels), tuple(pixels.mean(axis=0).tolist()), pixels)
+        for pixels in groups
+    }
+
+
+def cross_check_masks():
+    rng = np.random.default_rng(240)
+    yield u_shapes_mask(240)
+    yield spiral_mask(240, 1)
+    yield spiral_mask(240, 2)
+    for density in (0.05, 0.3, 0.55):
+        yield rng.random((240, 240)) < density
+    blobs = np.zeros((240, 240), dtype=bool)
+    yy, xx = np.mgrid[:240, :240]
+    for cy, cx, rad in rng.integers((20, 20, 3), (220, 220, 30), size=(12, 3)):
+        blobs |= (yy - cy) ** 2 + (xx - cx) ** 2 <= rad * rad
+    yield blobs
+    yield np.ones((240, 240), dtype=bool)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_matches_scipy_label_on_240_masks(connectivity):
+    for mask in cross_check_masks():
+        expected = scipy_components(mask, connectivity)
+        comps = connected_components(mask, connectivity=connectivity)
+        assert sorted(c.anchor for c in comps) == sorted(expected)
+        keys = [(-c.area, c.anchor) for c in comps]
+        assert keys == sorted(keys)
+        for c in comps:
+            area, centroid, pixels = expected[c.anchor]
+            assert c.area == area
+            assert c.centroid == centroid
+            # same pixels, in row-major scan order
+            assert np.array_equal(c.pixels, pixels)
+
