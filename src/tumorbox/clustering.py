@@ -1,13 +1,16 @@
 """1-D intensity clustering: Lloyd K-means and Gaussian-mixture EM.
 
-K-means runs on the distinct intensities of a slice, each weighted by its
-pixel count, and expands its hard assignment back to the pixels; EM fits a
-Gaussian mixture to the raw pixel intensities and yields per-pixel posterior
-probabilities that are hard-assigned downstream. ``segment_slice``
+K-means runs on the sorted distinct intensities of a slice, each weighted
+by its pixel count: 1-D nearest-center cells are intervals, so a Lloyd step
+is a few ``searchsorted`` cuts and segment sums. EM fits a Gaussian mixture
+to the pixel intensities with posteriors held as (k, n), so each step is one
+small matrix product on the design [1, x, x^2]; the winner's posteriors are
+returned per pixel and hard-assigned downstream. ``segment_slice``
 turns either result into a label map whose classes are ranked by mean
 intensity, so for k=5 the brightest class is label 5.
 """
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -15,6 +18,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .volume import Slice
+
+log = logging.getLogger(__name__)
 
 DEFAULT_SEED = 2015
 
@@ -119,51 +124,63 @@ def _initial_centers(values: np.ndarray, k: int, strategy: str, rng: np.random.G
     return values[idx].astype(np.float64)
 
 
-def _nearest(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``argmin(|values[:, None] - centers|, axis=1)`` (ties to the lower
-    index), one center at a time: numpy's argmin along a length-k row is slow."""
-    best = np.abs(values - centers[0])
-    assign = np.zeros(values.size, dtype=np.intp)
-    for j in range(1, centers.size):
-        dist = np.abs(values - centers[j])
-        assign[dist < best] = j
-        np.minimum(best, dist, out=best)
-    return assign
+def _assign(distinct: np.ndarray, centers: np.ndarray):
+    """Nearest center of each sorted distinct value, ``argmin(|x - c|)`` with
+    ties to the lower center index, as runs in value order (a center owns
+    several only on the exact path): lists of run center, start and length.
+
+    1-D nearest-center cells are the intervals between midpoints of the
+    sorted centers, so the cuts come from ``searchsorted``. Where rounding of
+    ``|x - c|`` can tie two centers (a value within a few ulps of a midpoint,
+    or centers equal or a few ulps apart) every value is decided by that
+    exact comparison instead.
+    """
+    n = distinct.size
+    order = np.argsort(centers)
+    ranked = centers[order]
+    tol = 4.0 * np.spacing(max(-distinct[0], distinct[-1], -ranked[0], ranked[-1]))
+    mids = 0.5 * (ranked[:-1] + ranked[1:])
+    lo = np.searchsorted(distinct, mids - tol)
+    hi = np.searchsorted(distinct, mids + tol, side="right")
+    if (hi > lo).any() or (ranked[1:] - ranked[:-1] <= 2.0 * tol).any():
+        labels = np.argmin(np.abs(distinct[:, None] - centers), axis=1)
+        starts = np.flatnonzero(np.diff(labels, prepend=-1))
+        return labels[starts].tolist(), starts.tolist(), np.diff(starts, append=n).tolist()
+    cuts = [0, *lo.tolist(), n]
+    runs = [(j, a, b - a) for j, a, b in zip(order.tolist(), cuts, cuts[1:]) if b > a]
+    return [r[0] for r in runs], [r[1] for r in runs], [r[2] for r in runs]
 
 
-def _lloyd(distinct: np.ndarray, counts: np.ndarray, first: np.ndarray, centers: np.ndarray, max_iter: int):
-    """One Lloyd run over the distinct values, each weighted by its pixel
-    count; ``first`` is each value's first pixel index. Returns (centroids,
+def _lloyd(distinct: np.ndarray, counts: np.ndarray, inverse: np.ndarray, centers: np.ndarray, max_iter: int):
+    """One Lloyd run over the sorted distinct values, each weighted by its
+    pixel count; ``inverse`` maps pixels to values. Returns (centroids,
     per-value assignment, objective trace, iters)."""
     k = centers.size
-    centers = centers.astype(np.float64).copy()
+    centers = centers.astype(np.float64)
     mass = distinct * counts
-    prev_assign = None
+    prev = None
     trace: list[float] = []
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        assign = _nearest(distinct, centers)
+        owners, starts, sizes = _assign(distinct, centers)
         # Repair empty clusters: move each onto the value currently farthest
         # from its assigned centroid (the earliest in pixel order among
         # ties), then re-assign.
-        while True:
-            occupied = np.bincount(assign, minlength=k) > 0
-            if occupied.all():
-                break
-            empty = int(np.flatnonzero(~occupied)[0])
-            dist = np.abs(distinct - centers[assign])
+        while len(set(owners)) < k:
+            empty = min(set(range(k)) - set(owners))
+            dist = np.abs(distinct - np.repeat(centers[owners], sizes))
             tied = np.flatnonzero(dist == dist.max())
-            centers[empty] = distinct[tied[np.argmin(first[tied])]]
-            assign = _nearest(distinct, centers)
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            centers[empty] = distinct[inverse[np.flatnonzero(np.isin(inverse, tied))[0]]]
+            owners, starts, sizes = _assign(distinct, centers)
+        if (owners, sizes) == prev:
             break
-        centers = np.bincount(assign, weights=mass, minlength=k) / np.bincount(
-            assign, weights=counts, minlength=k
+        centers = np.bincount(owners, weights=np.add.reduceat(mass, starts), minlength=k) / np.bincount(
+            owners, weights=np.add.reduceat(counts, starts), minlength=k
         )
-        trace.append(float(np.sum(counts * (distinct - centers[assign]) ** 2)))
-        prev_assign = assign
-    return centers, prev_assign, trace, iterations
+        trace.append(float(np.sum(counts * (distinct - np.repeat(centers[owners], sizes)) ** 2)))
+        prev = owners, sizes
+    return centers, np.repeat(*prev), trace, iterations
 
 
 def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
@@ -183,16 +200,14 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
     if values.size == 0:
         raise ValidationError("kmeans_1d needs at least one value")
 
-    distinct, first, inverse, counts = np.unique(
-        values, return_index=True, return_inverse=True, return_counts=True
-    )
+    distinct, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     if distinct.size < cfg.k:
         centroids = np.concatenate(
             [distinct, np.full(cfg.k - distinct.size, distinct[-1])]
         )
         return KMeansResult(
             centroids=centroids,
-            assignment=_nearest(distinct, centroids)[inverse],
+            assignment=inverse,  # value i sits on centroid i; duplicates lose ties
             objective=0.0,
             objective_trace=[0.0],
             n_iter=0,
@@ -204,7 +219,7 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
     for restart in range(cfg.n_restarts):
         strategy = cfg.init if restart == 0 else INIT_RANDOM_FROM_DATA
         centers0 = _initial_centers(values, cfg.k, strategy, rng)
-        centroids, assign, trace, iterations = _lloyd(distinct, counts, first, centers0, cfg.max_iter)
+        centroids, assign, trace, iterations = _lloyd(distinct, counts, inverse, centers0, cfg.max_iter)
         if best is None or trace[-1] < best.objective:
             best = KMeansResult(
                 centroids=centroids,
@@ -219,33 +234,24 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
     return best
 
 
-def _log_pdf_matrix(values, weights, means, variances, squares=None):
-    """Row j, column i: log(w_j * N(x_i | mu_j, var_j)); components along rows
-    make the per-pixel max and sum in ``_e_step`` k elementwise passes."""
-    # Expanded quadratic keeps this to one (k, n) temporary.
-    if squares is None:
-        squares = values * values
+def _e_step(design, weights, means, variances):
+    """Log-likelihood and the (k, n) posteriors. Row j of ``coef @ design``
+    is log(w_j * N(x | mu_j, var_j)) on the design rows [1, x, x^2]; with
+    components along rows the per-pixel max and sum are k elementwise passes."""
     inv2 = -0.5 / variances
-    logp = inv2[:, None] * squares[None, :]
-    logp += (-2.0 * means * inv2)[:, None] * values[None, :]
-    logp += (means * means * inv2 - 0.5 * np.log(2.0 * np.pi * variances) + np.log(weights))[:, None]
-    return logp
-
-
-def _e_step(values, weights, means, variances, squares=None):
-    """Log-likelihood and the (n, k) posterior matrix."""
-    logp = _log_pdf_matrix(values, weights, means, variances, squares)
+    const = means * means * inv2 - 0.5 * np.log(2.0 * np.pi * variances) + np.log(weights)
+    logp = np.column_stack((const, -2.0 * means * inv2, inv2)) @ design
     top = logp.max(axis=0)
     logp -= top
     np.exp(logp, out=logp)
     denom = logp.sum(axis=0)
     ll = float((top + np.log(denom)).sum())
     logp /= denom
-    return ll, np.ascontiguousarray(logp.T)
+    return ll, logp
 
 
 def _em_run(
-    values: np.ndarray,
+    design: np.ndarray,
     k: int,
     means0: np.ndarray,
     max_iter: int,
@@ -253,40 +259,39 @@ def _em_run(
     weights0: np.ndarray | None = None,
     variances0: np.ndarray | None = None,
 ):
-    n = values.size
+    """One EM run on the (3, n) design [1, x, x^2]; posteriors are (k, n)."""
+    n = design.shape[1]
     weights = np.full(k, 1.0 / k) if weights0 is None else weights0.astype(np.float64).copy()
     means = means0.astype(np.float64).copy()
     if variances0 is None:
-        variances = np.full(k, max(float(np.var(values)), VARIANCE_FLOOR))
+        variances = np.full(k, max(float(np.var(design[1])), VARIANCE_FLOOR))
     else:
         variances = np.maximum(variances0.astype(np.float64), VARIANCE_FLOOR)
 
-    squares = values * values
     trace: list[float] = []
     converged = False
     ll = -np.inf
-    posteriors = np.full((n, k), 1.0 / k)
     for _ in range(max_iter):
-        ll_new, posteriors = _e_step(values, weights, means, variances, squares)
+        ll_new, posteriors = _e_step(design, weights, means, variances)
         trace.append(ll_new)
         if np.isfinite(ll) and abs(ll_new - ll) <= tol * max(1.0, abs(ll)):
             ll = ll_new
             converged = True
             break
         ll = ll_new
-        # M-step; moments via one pass over the posterior matrix.
-        resp_sums = posteriors.sum(axis=0)
+        # M-step: per-component sums of r, r*x and r*x^2 in one product.
+        resp_sums, first, second = (posteriors @ design.T).T
         safe = np.maximum(resp_sums, 1e-12)
         weights = resp_sums / n
-        new_means = (values @ posteriors) / safe
-        new_vars = (squares @ posteriors) / safe - new_means * new_means
+        new_means = first / safe
+        new_vars = second / safe - new_means * new_means
         means = np.where(resp_sums > 1e-12, new_means, means)
         variances = np.where(resp_sums > 1e-12, new_vars, variances)
         variances = np.maximum(variances, VARIANCE_FLOOR)
     else:
         # Ran out of iterations after an M-step: sync posteriors with the
         # final parameters so the returned pieces are mutually consistent.
-        ll, posteriors = _e_step(values, weights, means, variances, squares)
+        ll, posteriors = _e_step(design, weights, means, variances)
         trace.append(ll)
 
     model = GmmModel(
@@ -361,8 +366,9 @@ def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
     km_weights = np.maximum(counts, 1.0) / float(values.size)
     km_weights = km_weights / km_weights.sum()
     km_vars = np.bincount(assign, weights=(values - km.centroids[assign]) ** 2, minlength=cfg.k) / safe
+    design = np.stack((np.ones_like(values), values, values * values))
     model, posteriors, trace, converged = _em_run(
-        values, cfg.k, km.centroids, cfg.max_iter, cfg.tol,
+        design, cfg.k, km.centroids, cfg.max_iter, cfg.tol,
         weights0=km_weights, variances0=km_vars,
     )
     consider(-1, model, posteriors, trace, converged)
@@ -371,9 +377,10 @@ def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
         strategy = cfg.init if restart == 0 else INIT_RANDOM_FROM_DATA
         means0 = _initial_centers(values, cfg.k, strategy, rng)
         model, posteriors, trace, converged = _em_run(
-            values, cfg.k, means0, cfg.max_iter, cfg.tol
+            design, cfg.k, means0, cfg.max_iter, cfg.tol
         )
         consider(restart, model, posteriors, trace, converged)
+    best.posteriors = np.ascontiguousarray(best.posteriors.T)
     return best
 
 
@@ -438,6 +445,8 @@ def segment_slice(
         degenerate = result.degenerate
     else:
         result = em_gmm_1d(values, cfg)
+        if not result.converged:
+            log.warning("slice %d: EM stopped at max_iter=%d without converging", slc.index, cfg.max_iter)
         raw = hard_assign(result.posteriors) - 1
         fallback_means = result.model.means
         degenerate = False

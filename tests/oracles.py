@@ -212,3 +212,87 @@ def kmeans_pixel_lloyd(values, k: int, seed: int, n_restarts: int, max_iter: int
         if best is None or sse < best[2]:
             best = (centers, prev, sse, iterations, restart, False)
     return best
+
+
+def nearest_center_loop(values, centers) -> list[int]:
+    """Index of the nearest center for each value; ties go to the lower
+    index (a later center must be strictly closer to win)."""
+    out = []
+    for x in values:
+        best = 0
+        for j in range(1, len(centers)):
+            if abs(x - centers[j]) < abs(x - centers[best]):
+                best = j
+        out.append(best)
+    return out
+
+
+def em_pixel_reference(values, k: int, seed: int, n_restarts: int, max_iter: int, tol: float,
+                       km_centroids, km_assignment, variance_floor: float = 1e-6):
+    """Best-of-restarts 1-D Gaussian-mixture EM with an (n, k) posterior
+    matrix, as the package ran it before its steps became matrix products on
+    a (3, n) design.
+
+    Run -1 starts from the given K-means partition (means at the centroids,
+    weights and variances per cluster); restart 0 from the quantile spread,
+    later restarts from data points drawn from ``default_rng(seed)``. The
+    highest final log-likelihood wins, the earlier run on ties. Returns the
+    winner as a dict with restart, weights, means, variances, trace,
+    posteriors (n, k), n_iter and converged, plus ``runs``, every run's dict
+    in run order.
+    """
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    n = values.size
+    squares = values * values
+
+    def e_step(weights, means, variances):
+        inv2 = -0.5 / variances
+        logp = squares[:, None] * inv2 + values[:, None] * (-2.0 * means * inv2)
+        logp += means * means * inv2 - 0.5 * np.log(2.0 * np.pi * variances) + np.log(weights)
+        top = logp.max(axis=1)
+        dens = np.exp(logp - top[:, None])
+        total = dens.sum(axis=1)
+        return float(np.sum(top + np.log(total))), dens / total[:, None]
+
+    def run(weights, means, variances):
+        trace, ll, converged = [], -np.inf, False
+        for _ in range(max_iter):
+            ll_new, post = e_step(weights, means, variances)
+            trace.append(ll_new)
+            if np.isfinite(ll) and abs(ll_new - ll) <= tol * max(1.0, abs(ll)):
+                ll, converged = ll_new, True
+                break
+            ll = ll_new
+            resp = post.sum(axis=0)
+            safe = np.maximum(resp, 1e-12)
+            weights = resp / n
+            new_means = (values @ post) / safe
+            new_vars = (squares @ post) / safe - new_means * new_means
+            means = np.where(resp > 1e-12, new_means, means)
+            variances = np.maximum(np.where(resp > 1e-12, new_vars, variances), variance_floor)
+        else:
+            ll, post = e_step(weights, means, variances)
+            trace.append(ll)
+        return dict(weights=weights, means=means, variances=variances, trace=trace,
+                    posteriors=post, n_iter=len(trace), converged=converged)
+
+    assign = np.asarray(km_assignment)
+    centroids = np.asarray(km_centroids, dtype=np.float64)
+    counts = np.maximum(np.bincount(assign, minlength=k).astype(np.float64), 1.0)
+    weights0 = counts / float(n)
+    km_vars = np.bincount(assign, weights=(values - centroids[assign]) ** 2, minlength=k) / counts
+    runs = [dict(run(weights0 / weights0.sum(), centroids, np.maximum(km_vars, variance_floor)), restart=-1)]
+
+    rng = np.random.default_rng(seed)
+    start_var = np.full(k, max(float(np.var(values)), variance_floor))
+    for restart in range(n_restarts):
+        if restart == 0:
+            means0 = np.quantile(values, (2 * np.arange(1, k + 1) - 1) / (2 * k))
+        else:
+            means0 = values[rng.choice(n, size=k, replace=n < k)]
+        runs.append(dict(run(np.full(k, 1.0 / k), means0, start_var), restart=restart))
+    best = runs[0]
+    for fit in runs[1:]:
+        if fit["trace"][-1] > best["trace"][-1]:
+            best = fit
+    return dict(best, runs=runs)

@@ -1,11 +1,19 @@
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import kmeans_dp_objective, kmeans_pixel_lloyd
-from conftest import make_slice
+from oracles import em_pixel_reference, kmeans_dp_objective, kmeans_pixel_lloyd, nearest_center_loop
+from conftest import PHANTOM_REP_SLICES, make_slice
 
 from tumorbox.clustering import (
     ClusterConfig,
+    _assign,
     em_gmm_1d,
     hard_assign,
     kmeans_1d,
@@ -132,6 +140,89 @@ class TestKMeansMatchesPixelLloyd:
         drawn = [values[rng.choice(values.size, size=3, replace=False)] for _ in range(cfg.n_restarts)]
         assert any(np.all(d == 5.0) for d in drawn)
         assert_matches_pixel_lloyd(values, cfg)
+
+
+@st.composite
+def values_and_centers(draw):
+    """Sorted distinct values and unsorted centers built to hit the edges of
+    the interval assignment: duplicate centers, centers one ulp apart, far
+    centers of opposite sign, and values at or a few ulps from midpoints."""
+    if draw(st.booleans()):
+        base = st.integers(-40, 40).map(float)  # integer data with heavy repeats
+    else:
+        base = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    values = draw(st.lists(base, min_size=1, max_size=60))
+    centers = []
+    for _ in range(draw(st.integers(1, 7))):
+        how = draw(st.sampled_from(("value", "free", "duplicate", "ulp", "mirror")))
+        if centers and how == "duplicate":
+            centers.append(draw(st.sampled_from(centers)))
+        elif centers and how == "ulp":
+            toward = draw(st.sampled_from((-np.inf, np.inf)))
+            centers.append(float(np.nextafter(draw(st.sampled_from(centers)), toward)))
+        elif centers and how == "mirror":
+            # a midpoint near 0 between far centers: |x - c| rounds coarsely there
+            centers.append(draw(st.sampled_from((0.0, 0.5, 1.0))) - draw(st.sampled_from(centers)))
+        else:
+            centers.append(draw(st.sampled_from(values) if how == "value" else base))
+    for a, b in zip(centers, centers[1:]):
+        mid = 0.5 * (a + b)
+        ulps = draw(st.sampled_from(((), (0,), (-1, 1), (-3, -2, 2, 3))))
+        values += [mid + u * np.spacing(mid) for u in ulps]
+    return np.unique(values), np.array(centers)
+
+
+class TestIntervalAssignment:
+    @settings(max_examples=400, deadline=None)
+    @given(values_and_centers())
+    def test_matches_brute_force_nearest_with_lower_index_ties(self, case):
+        distinct, centers = case
+        owners, starts, sizes = _assign(distinct, centers)
+        assert min(sizes) > 0 and starts == np.cumsum([0] + sizes[:-1]).tolist()
+        assert sum(sizes) == distinct.size
+        assert np.repeat(owners, sizes).tolist() == nearest_center_loop(distinct, centers)
+
+
+class TestEmMatchesReference:
+    """EM on the (3, n) design reproduces the (n, k) per-pixel EM."""
+
+    @staticmethod
+    def assert_matches_reference(values, cfg):
+        res = em_gmm_1d(values, cfg)
+        km = kmeans_1d(values, cfg)
+        ref = em_pixel_reference(values, cfg.k, cfg.seed, cfg.n_restarts, cfg.max_iter, cfg.tol,
+                                 km.centroids, km.assignment)
+        # Runs that converge to one optimum end within rounding of each
+        # other; which of them wins depends on summation order, so the
+        # winner is compared with the run of the same index among those.
+        best_ll = ref["trace"][-1]
+        tied = {r["restart"]: r for r in ref["runs"] if abs(r["trace"][-1] - best_ll) <= 1e-12 * abs(best_ll)}
+        assert res.best_restart in tied
+        ref = tied[res.best_restart]
+        assert np.array_equal(hard_assign(res.posteriors), np.argmax(ref["posteriors"], axis=1) + 1)
+        assert (res.n_iter, res.converged) == (ref["n_iter"], ref["converged"])
+        for got, want in ((res.model.weights, ref["weights"]), (res.model.means, ref["means"]),
+                          (res.model.variances, ref["variances"]), (res.log_likelihood_trace, ref["trace"])):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(res.posteriors, ref["posteriors"], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_phantom_slices(self, case, phantom_cases, phantom_atlases):
+        from tumorbox.preprocess import enhance_contrast, normalize
+
+        _, vol, _ = phantom_cases[case]
+        for n in PHANTOM_REP_SLICES:
+            data = enhance_contrast(normalize(extract_slice(vol, n)), phantom_atlases[n]).data
+            self.assert_matches_reference(data[data > 0], ClusterConfig())
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    def test_seeded_random_mixtures(self, k):
+        rng = np.random.default_rng(400 + k)
+        for seed in range(3):
+            centers = rng.uniform(0.0, 1.0, k)
+            values = np.concatenate([rng.normal(c, rng.uniform(0.01, 0.08), rng.integers(50, 400)) for c in centers])
+            rng.shuffle(values)
+            self.assert_matches_reference(values, ClusterConfig(k=k, seed=seed, n_restarts=3))
 
 
 class TestEm:
@@ -263,6 +354,44 @@ class TestSegmentSlice:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
             segment_slice(make_slice(np.ones((2, 2))), "ward")
+
+    def test_em_hitting_max_iter_logs_warning_with_slice(self, caplog):
+        rng = np.random.default_rng(5)
+        spread = rng.random((24, 24)) + 0.05
+        modes = rng.normal(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9], (24, 24)), 0.02)
+        with caplog.at_level(logging.WARNING, logger="tumorbox.clustering"):
+            segment_slice(make_slice(spread, index=7), "em", ClusterConfig(max_iter=2))
+            assert [r.getMessage() for r in caplog.records] == [
+                "slice 7: EM stopped at max_iter=2 without converging"
+            ]
+            caplog.clear()
+            segment_slice(make_slice(modes, index=7), "em")
+            assert caplog.records == []
+
+    def test_em_labels_same_for_any_blas_thread_count(self, tmp_path):
+        # The E- and M-steps are BLAS products; the label map must not
+        # depend on how many threads BLAS uses (same results for every --jobs).
+        script = (
+            "import sys, numpy as np\n"
+            "from tumorbox.clustering import segment_slice\n"
+            "from tumorbox.phantom import PhantomSpec, generate_phantom\n"
+            "from tumorbox.preprocess import normalize\n"
+            "from tumorbox.volume import extract_slice\n"
+            "spec = PhantomSpec(dims=(240, 240, 40), brain_center=(120.0, 120.0, 20.0),\n"
+            "                   brain_radii=(93.6, 105.6, 19.0), tumor_center=(130.0, 112.0, 20.0),\n"
+            "                   tumor_radius=12.0, seed=11)\n"
+            "intensity, _ = generate_phantom(spec)\n"
+            "np.save(sys.argv[1], segment_slice(normalize(extract_slice(intensity, 20)), 'em').labels)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-c", script, str(tmp_path / f"labels{threads}.npy")],
+                           env=env, check=True, timeout=300)
+        one, two = np.load(tmp_path / "labels1.npy"), np.load(tmp_path / "labels2.npy")
+        assert one.shape == (240, 240) and set(np.unique(one)) == {0, 1, 2, 3, 4, 5}
+        assert np.array_equal(one, two)
 
 
 class TestConfig:
