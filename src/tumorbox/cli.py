@@ -127,6 +127,16 @@ def cmd_atlas_build(args) -> int:
     return 0
 
 
+def _write_debug(debug_dir, report) -> None:
+    """One ``debug_slice_NNN.json`` per slice: the fit the pipeline made."""
+    debug_dir = Path(debug_dir)
+    debug_dir.mkdir(parents=True, exist_ok=True)
+    for s in report.slices:
+        fit = {"empty": True} if s.fit is None else s.fit
+        payload = {"slice_index": s.slice_index, **fit}
+        _write_json(debug_dir / f"debug_slice_{s.slice_index:03d}.json", payload)
+
+
 def cmd_extract(args) -> int:
     cfg = _resolve_config(args)
     volume = read_mha(args.volume)
@@ -141,11 +151,12 @@ def cmd_extract(args) -> int:
             params=cfg.extract,
             enhance=cfg.enhance,
             include_background=cfg.cluster_background,
-            collect_debug=bool(args.debug_dir),
         )
     except NoTumorDetectedError as exc:
         if args.report and exc.report is not None:
             _write_json(args.report, exc.report.to_dict())
+        if args.debug_dir and exc.report is not None:
+            _write_debug(args.debug_dir, exc.report)
         if cfg.strict:
             log.error("no tumor detected: %s", exc)
             return 3
@@ -164,11 +175,7 @@ def cmd_extract(args) -> int:
     if args.report:
         _write_json(args.report, result.report.to_dict())
     if args.debug_dir:
-        debug_dir = Path(args.debug_dir)
-        debug_dir.mkdir(parents=True, exist_ok=True)
-        for entry in result.debug:
-            name = f"debug_slice_{entry['slice_index']:03d}.json"
-            _write_json(debug_dir / name, entry)
+        _write_debug(args.debug_dir, result.report)
     return 0
 
 
@@ -321,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_extract.add_argument("--report", default=None, help="write a JSON pipeline report here")
     p_extract.add_argument("--format", choices=["json", "csv"], default="json")
-    p_extract.add_argument("--debug-dir", default=None, help="dump per-slice clustering traces here")
+    p_extract.add_argument("--debug-dir", default=None, help="write each slice's clustering fit and traces here")
     _add_method(p_extract)
     _add_common(p_extract)
     p_extract.set_defaults(func=cmd_extract)

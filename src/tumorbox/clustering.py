@@ -93,13 +93,16 @@ class LabelMap:
     """Per-pixel class labels in {0} | {1..k}; 0 marks excluded background.
 
     Classes are ranked by mean intensity of their pixels, ascending, so for
-    k=5 the brightest class carries label 5.
+    k=5 the brightest class carries label 5. ``fit`` summarises the fit that
+    produced the labels (scalars and short lists, ``None`` when no pixel
+    was clustered).
     """
 
     labels: np.ndarray
     k: int
     slice_index: int = 0
     degenerate: bool = False
+    fit: dict | None = None
 
     @property
     def width(self) -> int:
@@ -443,6 +446,13 @@ def segment_slice(
         raw = result.assignment
         fallback_means = result.centroids
         degenerate = result.degenerate
+        fit = {
+            "centroids": result.centroids.tolist(),
+            "objective": result.objective,
+            "objective_trace": result.objective_trace,
+            "n_iter": result.n_iter,
+            "degenerate": result.degenerate,
+        }
     else:
         result = em_gmm_1d(values, cfg)
         if not result.converged:
@@ -450,7 +460,18 @@ def segment_slice(
         raw = hard_assign(result.posteriors) - 1
         fallback_means = result.model.means
         degenerate = False
+        model = result.model
+        fit = {
+            "weights": model.weights.tolist(),
+            "means": model.means.tolist(),
+            "variances": model.variances.tolist(),
+            "log_likelihood": model.log_likelihood,
+            "log_likelihood_trace": result.log_likelihood_trace,
+            "n_iter": result.n_iter,
+            "converged": result.converged,
+        }
+    fit.update(method=method, best_restart=result.best_restart)
 
     rank = _rank_by_mean(raw, values, cfg.k, fallback_means)
     labels[mask] = rank[raw]
-    return LabelMap(labels=labels, k=cfg.k, slice_index=slc.index, degenerate=degenerate)
+    return LabelMap(labels=labels, k=cfg.k, slice_index=slc.index, degenerate=degenerate, fit=fit)

@@ -137,6 +137,9 @@ class CohortResult:
         return sum(1 for c in self.cases if c.failed)
 
     def summary_dict(self) -> dict:
+        """Scores plus two counts from the held reports: cases that kept the
+        union fallback, and EM slices whose winning fit did not converge."""
+        reports = [c.report for c in self.cases if c.report is not None]
         return {
             "cohort": self.cohort,
             "method": self.method,
@@ -145,6 +148,10 @@ class CohortResult:
             "n": self.n,
             "n_failed": self.n_failed,
             "n_errors": len(self.errors),
+            "n_fallback": sum(r.fallback_used for r in reports),
+            "n_unconverged": sum(
+                s.fit.get("converged") is False for r in reports for s in r.slices if s.fit
+            ),
         }
 
 

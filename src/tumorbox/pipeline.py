@@ -15,14 +15,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .clustering import (
-    METHOD_KMEANS,
-    ClusterConfig,
-    LabelMap,
-    em_gmm_1d,
-    kmeans_1d,
-    segment_slice,
-)
+from .clustering import ClusterConfig, LabelMap, segment_slice
+# Unused here; benchmark/tracing.py wraps these names as its debug_recluster span.
+from .clustering import em_gmm_1d, kmeans_1d  # noqa: F401
 from .components import connected_components
 from .errors import ConfigurationError, NoTumorDetectedError, ValidationError
 from .preprocess import Atlas, EnhanceParams, enhance_contrast, normalize
@@ -319,6 +314,7 @@ class SliceReport:
     degenerate_segmentation: bool
     empty: bool
     quadrants_marked: tuple[bool, bool, bool, bool]
+    fit: dict | None = None  # LabelMap.fit of the slice
 
     def to_dict(self) -> dict:
         return {
@@ -328,6 +324,8 @@ class SliceReport:
             "degenerate_segmentation": self.degenerate_segmentation,
             "empty": self.empty,
             "quadrants_marked": list(self.quadrants_marked),
+            "fit": None if self.fit is None
+            else {k: v for k, v in self.fit.items() if not k.endswith("_trace")},
         }
 
 
@@ -359,7 +357,6 @@ class PipelineResult:
     report: PipelineReport
     tumor_maps: list[TumorMap]
     fused: TumorMap
-    debug: list[dict] = field(default_factory=list)
 
 
 def _as_atlas_map(atlases) -> Mapping[int, Atlas]:
@@ -376,7 +373,6 @@ def run_pipeline(
     params: ExtractParams | None = None,
     enhance: EnhanceParams | None = None,
     include_background: bool = False,
-    collect_debug: bool = False,
 ) -> PipelineResult:
     """Run the full pipeline on one volume and return the bounding box.
 
@@ -411,7 +407,6 @@ def run_pipeline(
 
     maps: list[TumorMap] = []
     slice_reports: list[SliceReport] = []
-    debug: list[dict] = []
     for n in slices:
         raw = timed("extract", extract_slice, volume, n)
         norm = timed("normalize", normalize, raw)
@@ -434,10 +429,9 @@ def run_pipeline(
                 degenerate_segmentation=label_map.degenerate,
                 empty=tumor_map.is_empty,
                 quadrants_marked=quadrant_marks(tumor_map, params.min_quadrant_pixels),
+                fit=label_map.fit,
             )
         )
-        if collect_debug:
-            debug.append(_segmentation_debug(enhanced, method, cluster_cfg, include_background))
 
     try:
         fusion = timed("fuse", fuse_maps, maps, params)
@@ -473,46 +467,7 @@ def run_pipeline(
         report=report,
         tumor_maps=maps,
         fused=fusion.fused,
-        debug=debug,
     )
-
-
-def _segmentation_debug(slc, method, cfg, include_background) -> dict:
-    """Re-run the clustering to capture model parameters and traces.
-
-    Only used behind the debug flag; duplicating the work keeps the hot path
-    free of bookkeeping.
-    """
-    data = slc.data
-    mask = np.ones(data.shape, dtype=bool) if include_background else data > 0
-    values = data[mask]
-    if values.size == 0:
-        return {"slice_index": slc.index, "empty": True}
-    if method == METHOD_KMEANS:
-        res = kmeans_1d(values, cfg)
-        return {
-            "slice_index": slc.index,
-            "method": method,
-            "centroids": res.centroids.tolist(),
-            "objective": res.objective,
-            "objective_trace": res.objective_trace,
-            "n_iter": res.n_iter,
-            "degenerate": res.degenerate,
-            "best_restart": res.best_restart,
-        }
-    res = em_gmm_1d(values, cfg)
-    return {
-        "slice_index": slc.index,
-        "method": method,
-        "weights": res.model.weights.tolist(),
-        "means": res.model.means.tolist(),
-        "variances": res.model.variances.tolist(),
-        "log_likelihood": res.model.log_likelihood,
-        "log_likelihood_trace": res.log_likelihood_trace,
-        "n_iter": res.n_iter,
-        "converged": res.converged,
-        "best_restart": res.best_restart,
-    }
 
 
 def select_representatives(

@@ -296,3 +296,46 @@ def em_pixel_reference(values, k: int, seed: int, n_restarts: int, max_iter: int
         if fit["trace"][-1] > best["trace"][-1]:
             best = fit
     return dict(best, runs=runs)
+
+
+def segmentation_fit(slc, method: str, cfg, include_background: bool = False) -> dict:
+    """The per-slice fit record, got by clustering the slice afresh.
+
+    This is how ``extract --debug-dir`` built its files before the pipeline
+    kept the fit it makes: the same pixel selection, then a second
+    ``kmeans_1d``/``em_gmm_1d`` call on those values. Unlike the oracles
+    above it calls the package's fitters; it checks that the recorded fit is
+    the fit of the slice, not how a fit is computed.
+    """
+    from tumorbox.clustering import METHOD_KMEANS, em_gmm_1d, kmeans_1d
+
+    data = slc.data
+    mask = np.ones(data.shape, dtype=bool) if include_background else data > 0
+    values = data[mask]
+    if values.size == 0:
+        return {"slice_index": slc.index, "empty": True}
+    if method == METHOD_KMEANS:
+        res = kmeans_1d(values, cfg)
+        return {
+            "slice_index": slc.index,
+            "method": method,
+            "centroids": res.centroids.tolist(),
+            "objective": res.objective,
+            "objective_trace": res.objective_trace,
+            "n_iter": res.n_iter,
+            "degenerate": res.degenerate,
+            "best_restart": res.best_restart,
+        }
+    res = em_gmm_1d(values, cfg)
+    return {
+        "slice_index": slc.index,
+        "method": method,
+        "weights": res.model.weights.tolist(),
+        "means": res.model.means.tolist(),
+        "variances": res.model.variances.tolist(),
+        "log_likelihood": res.model.log_likelihood,
+        "log_likelihood_trace": res.log_likelihood_trace,
+        "n_iter": res.n_iter,
+        "converged": res.converged,
+        "best_restart": res.best_restart,
+    }

@@ -10,11 +10,34 @@ from tumorbox.volume import Volume
 
 # Tiny phantoms keep CLI runs fast; slices chosen to cross the tumor ball.
 SMALL = ["--dims", "48", "48", "24", "--radius-min", "4", "--radius-max", "6"]
-SMALL_SLICES = "10,11,12,13,14,15"
+SLICE_INDICES = (10, 11, 12, 13, 14, 15)
+SMALL_SLICES = ",".join(map(str, SLICE_INDICES))
 
 
 def run(argv):
     return main(argv)
+
+
+def assert_debug_dump_is_fresh_fit(debug, volume_path, atlas_dir, method, background):
+    """Each debug_slice_*.json equals, byte for byte, the file written from
+    a second clustering of the same enhanced slice."""
+    from oracles import segmentation_fit
+    from tumorbox.clustering import ClusterConfig
+    from tumorbox.mha import read_mha
+    from tumorbox.preprocess import enhance_contrast, load_atlas, normalize
+    from tumorbox.volume import extract_slice
+
+    volume = read_mha(volume_path)
+    assert sorted(p.name for p in debug.iterdir()) == [
+        f"debug_slice_{n:03d}.json" for n in SLICE_INDICES
+    ]
+    for n in SLICE_INDICES:
+        atlas = load_atlas(atlas_dir / f"atlas_slice_{n:03d}.json")
+        enhanced = enhance_contrast(normalize(extract_slice(volume, n)), atlas)
+        expected = segmentation_fit(enhanced, method, ClusterConfig(), background)
+        assert "empty" not in expected
+        text = (debug / f"debug_slice_{n:03d}.json").read_text()
+        assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n", f"slice {n}"
 
 
 def file_hashes(paths):
@@ -234,6 +257,107 @@ class TestExtract:
         assert len(dumps) == 6
         payload = json.loads((debug / dumps[0]).read_text())
         assert "log_likelihood_trace" in payload
+
+        debug = tmp_path / "debug_kmeans"
+        code = run([
+            "extract",
+            "--volume", str(phantom_dir / "phantom_000_flair.mha"),
+            "--atlas-dir", str(atlas_dir),
+            "--slices", SMALL_SLICES,
+            "--method", "kmeans",
+            "--debug-dir", str(debug),
+        ])
+        assert code == 0
+        dumps = sorted(p.name for p in debug.iterdir())
+        assert dumps == [f"debug_slice_{n:03d}.json" for n in SLICE_INDICES]
+        payload = json.loads((debug / dumps[0]).read_text())
+        assert payload["method"] == "kmeans"
+        assert {"centroids", "objective", "objective_trace", "n_iter", "best_restart"} <= set(payload)
+
+    @pytest.mark.parametrize("background", [False, True], ids=["brain", "background"])
+    @pytest.mark.parametrize("method", ["kmeans", "em"])
+    def test_debug_dump_is_the_fit_of_each_slice(
+        self, phantom_dir, atlas_dir, tmp_path, capsys, method, background
+    ):
+        volume = phantom_dir / "phantom_002_flair.mha"
+        debug = tmp_path / "debug"
+        code = run([
+            "extract", "--volume", str(volume), "--atlas-dir", str(atlas_dir),
+            "--slices", SMALL_SLICES, "--method", method, "--debug-dir", str(debug),
+            *(["--cluster-background"] if background else []),
+        ])
+        assert code == 0
+        assert_debug_dump_is_fresh_fit(debug, volume, atlas_dir, method, background)
+
+    @pytest.mark.parametrize("method, fits", [
+        ("kmeans", {"kmeans_1d": 6, "em_gmm_1d": 0}),
+        ("em", {"kmeans_1d": 6, "em_gmm_1d": 6}),  # one K-means warm start per EM fit
+    ])
+    def test_debug_dir_fits_each_slice_once(
+        self, phantom_dir, atlas_dir, tmp_path, monkeypatch, capsys, method, fits
+    ):
+        import tumorbox.clustering as cl
+        import tumorbox.pipeline as pl
+
+        calls = dict.fromkeys(fits, 0)
+        for module in (cl, pl):
+            for name in calls:
+                def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, spy)
+        code = run([
+            "extract",
+            "--volume", str(phantom_dir / "phantom_001_flair.mha"),
+            "--atlas-dir", str(atlas_dir),
+            "--slices", SMALL_SLICES,
+            "--method", method,
+            "--report", str(tmp_path / "report.json"),
+            "--debug-dir", str(tmp_path / "debug"),
+        ])
+        assert code == 0
+        assert calls == fits
+        assert len(list((tmp_path / "debug").iterdir())) == 6
+
+    @pytest.mark.parametrize("strict, exit_code", [(False, 0), (True, 3)], ids=["warn", "strict"])
+    @pytest.mark.parametrize("method", ["kmeans", "em"])
+    def test_no_tumour_still_writes_debug_dump(
+        self, tmp_path, atlas_dir, capsys, method, strict, exit_code
+    ):
+        # a 6x6 block of noisy tissue in one corner: every slice is
+        # clustered, no component reaches area_min, no quadrant wins
+        rng = np.random.default_rng(0)
+        data = np.zeros((24, 48, 48))
+        data[:, :6, :6] = 0.5 + 0.01 * rng.standard_normal((24, 6, 6))
+        volume = tmp_path / "corner.mha"
+        write_mha(Volume(data=data), volume)
+        debug = tmp_path / "debug"
+        code = run([
+            "extract", "--volume", str(volume), "--atlas-dir", str(atlas_dir),
+            "--slices", SMALL_SLICES, "--method", method, "--debug-dir", str(debug),
+            *(["--strict"] if strict else []),
+        ])
+        assert code == exit_code
+        out = capsys.readouterr().out
+        if strict:
+            assert out == ""
+        else:
+            assert json.loads(out)["bbox"] is None
+        assert_debug_dump_is_fresh_fit(debug, volume, atlas_dir, method, False)
+
+    def test_zero_volume_debug_dump_marks_empty_slices(self, tmp_path, atlas_dir):
+        zero = tmp_path / "zero.mha"
+        write_mha(Volume(data=np.zeros((24, 48, 48))), zero)
+        debug = tmp_path / "debug"
+        code = run([
+            "extract", "--volume", str(zero), "--atlas-dir", str(atlas_dir),
+            "--slices", SMALL_SLICES, "--strict", "--debug-dir", str(debug),
+        ])
+        assert code == 3
+        for n in SLICE_INDICES:
+            payload = json.loads((debug / f"debug_slice_{n:03d}.json").read_text())
+            assert payload == {"slice_index": n, "empty": True}
 
     def test_cluster_background_flag_runs(self, phantom_dir, atlas_dir, capsys):
         code = run([

@@ -5,6 +5,7 @@ from oracles import binarize_loop, cumulative_loop, dice_enumerated
 from conftest import PHANTOM_REP_SLICES, make_slice
 
 import tumorbox.evaluate as ev
+from tumorbox.clustering import ClusterConfig
 from tumorbox.config import RunConfig
 from tumorbox.errors import EmptyGroundTruthError, FormatError, ValidationError
 from tumorbox.evaluate import (
@@ -299,3 +300,32 @@ class TestEvaluateCohort:
         )
         assert [r.cohort for r in results] == ["HGG", "LGG"]
         assert all(r.n == 1 for r in results)
+
+
+class TestSummaryCounts:
+    def test_unconverged_em_slices_counted(self, tmp_path, phantom_cases, phantom_atlases):
+        man = write_phantom_manifest(tmp_path, phantom_cases[:2])
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        cfg = RunConfig(method="em", extract=params, cluster=ClusterConfig(max_iter=2))
+        result = evaluate_cohort(read_manifest(man), phantom_atlases, cfg)
+        summary = result.summary_dict()
+        unconverged = [
+            s.slice_index for c in result.cases for s in c.report.slices if not s.fit["converged"]
+        ]
+        assert summary["n_unconverged"] == len(unconverged) > 0
+        assert summary["n_fallback"] == sum(c.report.fallback_used for c in result.cases)
+
+    def test_kmeans_has_no_unconverged_count(self, tmp_path, phantom_cases, phantom_atlases):
+        man = write_phantom_manifest(tmp_path, phantom_cases[:1])
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        result = evaluate_cohort(read_manifest(man), phantom_atlases, RunConfig(method="kmeans", extract=params))
+        assert result.summary_dict()["n_unconverged"] == 0
+
+    def test_union_fallback_counted(self, tmp_path, phantom_cases, phantom_atlases):
+        # a vote threshold no quadrant can reach sends every case to the union
+        man = write_phantom_manifest(tmp_path, phantom_cases[:2])
+        params = ExtractParams(
+            representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0, vote_threshold=7
+        )
+        result = evaluate_cohort(read_manifest(man), phantom_atlases, RunConfig(method="kmeans", extract=params))
+        assert result.summary_dict()["n_fallback"] == 2

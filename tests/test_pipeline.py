@@ -273,6 +273,27 @@ class TestRunPipeline:
         dict_a.pop("timings_ms"), dict_b.pop("timings_ms")
         assert dict_a == dict_b
 
+    @pytest.mark.parametrize("method, keys", [
+        ("kmeans", {"centroids", "objective", "n_iter", "degenerate", "best_restart"}),
+        ("em", {"weights", "means", "variances", "log_likelihood", "n_iter", "converged", "best_restart"}),
+    ])
+    def test_report_slices_carry_fit_without_traces(self, phantom_cases, phantom_atlases, method, keys):
+        spec, vol, gt = phantom_cases[0]
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        report = run_pipeline(vol, phantom_atlases, method=method, params=params).report
+        for slice_report, entry in zip(report.slices, report.to_dict()["slices"]):
+            assert any(k.endswith("_trace") for k in slice_report.fit)
+            assert set(entry["fit"]) == keys | {"method"}
+            assert entry["fit"] == {k: v for k, v in slice_report.fit.items() if k in entry["fit"]}
+            assert entry["fit"]["method"] == method
+
+    def test_zero_volume_report_has_no_fit(self, phantom_atlases):
+        vol = Volume(data=np.zeros((64, 128, 128)))
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES)
+        with pytest.raises(NoTumorDetectedError) as err:
+            run_pipeline(vol, phantom_atlases, params=params)
+        assert [s["fit"] for s in err.value.report.to_dict()["slices"]] == [None] * 6
+
     def test_missing_atlas_is_configuration_error(self, phantom_cases, phantom_atlases):
         spec, vol, gt = phantom_cases[0]
         partial = {n: a for n, a in phantom_atlases.items() if n != 32}
