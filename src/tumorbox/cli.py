@@ -152,30 +152,26 @@ def cmd_extract(args) -> int:
             enhance=cfg.enhance,
             include_background=cfg.cluster_background,
         )
+        bbox, report, failure = result.bbox, result.report, None
     except NoTumorDetectedError as exc:
-        if args.report and exc.report is not None:
-            _write_json(args.report, exc.report.to_dict())
-        if args.debug_dir and exc.report is not None:
-            _write_debug(args.debug_dir, exc.report)
-        if cfg.strict:
-            log.error("no tumor detected: %s", exc)
-            return 3
-        payload = {"bbox": None, "method": cfg.method, "warning": "no tumor detected"}
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-
-    if args.format == "csv":
-        print(result.bbox.to_csv_row())
-    else:
-        payload = {"bbox": result.bbox.to_dict(), "method": cfg.method}
-        if result.report.fallback_used:
-            payload["warning"] = "no winning quadrant; kept the union of all maps"
-        print(json.dumps(payload, sort_keys=True))
+        bbox, report, failure = None, exc.report, exc
 
     if args.report:
-        _write_json(args.report, result.report.to_dict())
+        _write_json(args.report, report.to_dict())
     if args.debug_dir:
-        _write_debug(args.debug_dir, result.report)
+        _write_debug(args.debug_dir, report)
+    if failure is not None:
+        if cfg.strict:
+            raise failure  # main logs it and exits 3
+        payload = {"bbox": None, "method": cfg.method, "warning": "no tumor detected"}
+    elif args.format == "csv":
+        print(bbox.to_csv_row())
+        return 0
+    else:
+        payload = {"bbox": bbox.to_dict(), "method": cfg.method}
+        if report.fallback_used:
+            payload["warning"] = "no winning quadrant; kept the union of all maps"
+    print(json.dumps(payload, sort_keys=True))
     return 0
 
 

@@ -80,6 +80,11 @@ class RunConfig:
             raise ConfigurationError(f"config key 'jobs' must be >= 1, got {self.jobs}")
         if self.seed < 0:
             raise ConfigurationError(f"config key 'seed' must be >= 0, got {self.seed}")
+        if self.cluster.k != 5:
+            raise ConfigurationError(
+                f"config key 'cluster.k' must be 5, since the tumor map reads "
+                f"classes 5 and 4; got {self.cluster.k}"
+            )
         object.__setattr__(self, "cluster", replace(self.cluster, seed=self.seed))
         object.__setattr__(self, "extract", replace(self.extract, strict=self.strict))
 

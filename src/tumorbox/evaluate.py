@@ -25,7 +25,7 @@ from .errors import (
 )
 from .mha import read_mha
 from .pipeline import BBox, PipelineReport, mask_bbox, run_pipeline
-from .preprocess import Atlas
+from .preprocess import Atlas, build_atlas
 from .volume import KIND_LABEL, Slice, Volume, extract_slice
 
 log = logging.getLogger(__name__)
@@ -95,7 +95,7 @@ class CaseResult:
     failed: bool
     bbox_pred: BBox | None
     bbox_gt: BBox
-    report: PipelineReport | None = None
+    report: PipelineReport
     wall_ms: float = 0.0
 
 
@@ -139,7 +139,7 @@ class CohortResult:
     def summary_dict(self) -> dict:
         """Scores plus two counts from the held reports: cases that kept the
         union fallback, and EM slices whose winning fit did not converge."""
-        reports = [c.report for c in self.cases if c.report is not None]
+        reports = [c.report for c in self.cases]
         return {
             "cohort": self.cohort,
             "method": self.method,
@@ -181,28 +181,19 @@ def evaluate_case(
             enhance=cfg.enhance,
             include_background=cfg.cluster_background,
         )
-        score = dice_box(result.bbox, box_gt, dims, cfg.dice_formula)
-        return CaseResult(
-            case_id=case_id,
-            cohort=cohort,
-            dice=score,
-            failed=False,
-            bbox_pred=result.bbox,
-            bbox_gt=box_gt,
-            report=result.report,
-            wall_ms=(time.perf_counter() - start) * 1000,
-        )
+        bbox, report = result.bbox, result.report
     except NoTumorDetectedError as exc:
-        return CaseResult(
-            case_id=case_id,
-            cohort=cohort,
-            dice=0.0,
-            failed=True,
-            bbox_pred=None,
-            bbox_gt=box_gt,
-            report=exc.report,
-            wall_ms=(time.perf_counter() - start) * 1000,
-        )
+        bbox, report = None, exc.report
+    return CaseResult(
+        case_id=case_id,
+        cohort=cohort,
+        dice=0.0 if bbox is None else dice_box(bbox, box_gt, dims, cfg.dice_formula),
+        failed=bbox is None,
+        bbox_pred=bbox,
+        bbox_gt=box_gt,
+        report=report,
+        wall_ms=(time.perf_counter() - start) * 1000,
+    )
 
 
 @dataclass(frozen=True)
@@ -247,27 +238,6 @@ def read_manifest(path) -> list[ManifestCase]:
     return cases
 
 
-def _gt_rep_masks(gt_volume: Volume, rep_slices: tuple[int, ...]) -> dict[int, np.ndarray]:
-    return {
-        n: (extract_slice(gt_volume, n).data != 0).astype(np.int32) for n in rep_slices
-    }
-
-
-def _loo_atlases(
-    total_counts: dict[int, np.ndarray],
-    own_masks: dict[int, np.ndarray],
-    num_patients: int,
-) -> dict[int, Atlas]:
-    out = {}
-    for n, counts in total_counts.items():
-        out[n] = Atlas(
-            slice_index=n,
-            num_patients=num_patients - 1,
-            counts=counts - own_masks[n],
-        )
-    return out
-
-
 def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> CohortResult:
     """Evaluate the cases of one cohort and aggregate their Dice scores.
 
@@ -287,23 +257,20 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
         raise ValidationError("leave-one-out needs at least two cases")
 
     rep = cfg.extract.representative_slices
-    total_counts: dict[int, np.ndarray] = {}
-    per_case_masks: list[dict[int, np.ndarray] | None] = [None] * len(cases)
+    # LOO: one atlas over every readable ground truth per slice; each case
+    # subtracts its own tumor pixels from it.
+    gt_slices: list[dict[int, Slice] | None] = [None] * len(cases)
+    totals: dict[int, Atlas] = {}
     if cfg.loo:
         for i, case in enumerate(cases):
             try:
                 gt = read_mha(case.gt_path, kind=KIND_LABEL)
             except (TumorBoxError, OSError):
                 continue  # reported when the case itself is evaluated
-            masks = _gt_rep_masks(gt, rep)
-            per_case_masks[i] = masks
-            for n in rep:
-                if n in total_counts:
-                    total_counts[n] += masks[n]
-                else:
-                    total_counts[n] = masks[n].copy()
-
-    num_readable = sum(1 for m in per_case_masks if m is not None)
+            gt_slices[i] = {n: extract_slice(gt, n) for n in rep}
+        readable = [s for s in gt_slices if s is not None]
+        if readable:
+            totals = {n: build_atlas([s[n] for s in readable]) for n in rep}
 
     def run_one(i_case):
         i, case = i_case
@@ -312,9 +279,16 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
             gt_volume = read_mha(case.gt_path, kind=KIND_LABEL)
             case_atlases = atlases
             if cfg.loo:
-                if per_case_masks[i] is None:
+                if gt_slices[i] is None:
                     raise FormatError("ground truth unreadable during atlas prepass")
-                case_atlases = _loo_atlases(total_counts, per_case_masks[i], num_readable)
+                case_atlases = {
+                    n: Atlas(
+                        slice_index=n,
+                        num_patients=atlas.num_patients - 1,
+                        counts=atlas.counts - (gt_slices[i][n].data != 0),
+                    )
+                    for n, atlas in totals.items()
+                }
             return evaluate_case(
                 volume, gt_volume, case_atlases, cfg, case_id=case.case_id, cohort=case.cohort
             )

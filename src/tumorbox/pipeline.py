@@ -355,8 +355,6 @@ class PipelineReport:
 class PipelineResult:
     bbox: BBox
     report: PipelineReport
-    tumor_maps: list[TumorMap]
-    fused: TumorMap
 
 
 def _as_atlas_map(atlases) -> Mapping[int, Atlas]:
@@ -433,41 +431,23 @@ def run_pipeline(
             )
         )
 
-    try:
-        fusion = timed("fuse", fuse_maps, maps, params)
-    except NoTumorDetectedError as exc:
-        # strict mode and no winning quadrant: report the votes, no box
-        report = PipelineReport(
-            method=method,
-            slices=slice_reports,
-            votes=quadrant_votes(maps, params),
-            winners=(),
-            fallback_used=False,
-            bbox=None,
-            timings_ms=timings,
-        )
-        raise NoTumorDetectedError(str(exc), report=report) from exc
     report = PipelineReport(
         method=method,
         slices=slice_reports,
-        votes=fusion.votes,
-        winners=fusion.winners,
-        fallback_used=fusion.fallback_used,
+        votes=tuple(sum(marks) for marks in zip(*(s.quadrants_marked for s in slice_reports))),
+        winners=(),
+        fallback_used=False,
         bbox=None,
         timings_ms=timings,
     )
     try:
-        bbox = timed("bounding_box", bounding_box, fusion.fused, params.bbox_margin)
+        fusion = timed("fuse", fuse_maps, maps, params)
+        report.winners, report.fallback_used = fusion.winners, fusion.fallback_used
+        report.bbox = timed("bounding_box", bounding_box, fusion.fused, params.bbox_margin)
     except NoTumorDetectedError as exc:
-        report.timings_ms = timings
+        # no winning quadrant in strict mode, or an empty fused map
         raise NoTumorDetectedError(str(exc), report=report) from exc
-    report.bbox = bbox
-    return PipelineResult(
-        bbox=bbox,
-        report=report,
-        tumor_maps=maps,
-        fused=fusion.fused,
-    )
+    return PipelineResult(bbox=report.bbox, report=report)
 
 
 def select_representatives(

@@ -444,6 +444,29 @@ class TestEval:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["cohorts"][0]["n"] == 3
 
+    def test_loo_mixed_gt_dims_is_usage_error(self, phantom_dir, tmp_path, caplog):
+        wide = tmp_path / "wide"
+        assert run([
+            "phantom", "--out-dir", str(wide), "--count", "1", "--seed", "7",
+            "--dims", "56", "48", "24", "--radius-min", "4", "--radius-max", "6",
+        ]) == 0
+        for kind in ("flair", "gt"):
+            (wide / f"phantom_000_{kind}.mha").rename(wide / f"wide_{kind}.mha")
+        manifest = phantom_dir / "mixed.csv"
+        manifest.write_text(
+            (phantom_dir / "manifest.csv").read_text()
+            + f"{wide}/wide_flair.mha,{wide}/wide_gt.mha,Phantom\n"
+        )
+        out = tmp_path / "loo"
+        with caplog.at_level("ERROR"):
+            code = run([
+                "eval", "--manifest", str(manifest), "--out-dir", str(out),
+                "--slices", SMALL_SLICES, "--method", "kmeans", "--loo",
+            ])
+        assert code == 2
+        assert any("mixed slice dims in atlas input" in rec.getMessage() for rec in caplog.records)
+        assert not list(tmp_path.rglob("results_*.csv"))
+
     def test_paper_union_formula_labelled(self, phantom_dir, atlas_dir, tmp_path, capsys):
         out = tmp_path / "pu"
         code = run([
@@ -561,6 +584,7 @@ class TestConfigValidation:
             ({"extract": {"radius_margin": "1.0"}}, [], "extract.radius_margin"),
             ({"cluster": {"seed": 7}}, [], "seed"),
             ({"extract": {"strict": True}}, [], "strict"),
+            ({"cluster": {"k": 3}}, [], "cluster.k"),
         ],
     )
     def test_bad_config_exits_2_before_any_case(

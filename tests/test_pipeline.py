@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -262,6 +263,24 @@ class TestRunPipeline:
             run_pipeline(vol, phantom_atlases, params=params)
         assert err.value.report is not None
         assert all(s.empty for s in err.value.report.slices)
+
+    def test_strict_no_winner_report_carries_votes(self, phantom_cases, phantom_atlases):
+        spec, vol, gt = phantom_cases[0]
+        params = ExtractParams(
+            representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0, vote_threshold=7
+        )
+        loose = run_pipeline(vol, phantom_atlases, method="kmeans", params=params).report
+        strict = dataclasses.replace(params, strict=True)
+        with pytest.raises(NoTumorDetectedError) as err:
+            run_pipeline(vol, phantom_atlases, method="kmeans", params=strict)
+        report = err.value.report
+        column_sums = tuple(np.sum([s.quadrants_marked for s in report.slices], axis=0))
+        assert any(report.votes)
+        assert report.votes == loose.votes == column_sums
+        assert report.winners == ()
+        assert report.fallback_used is False
+        assert report.bbox is None
+        assert loose.fallback_used is True
 
     def test_deterministic_bbox_and_report(self, phantom_cases, phantom_atlases):
         spec, vol, gt = phantom_cases[1]
