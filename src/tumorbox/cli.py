@@ -28,13 +28,14 @@ from .errors import (
 from .evaluate import (
     evaluate_manifest,
     read_manifest,
+    representative_gt_slices,
 )
 from .mha import read_mha, write_mha
 from .phantom import PhantomSpec, generate_phantom, save_spec
 from .phantom import load_spec as load_phantom_spec
 from .pipeline import run_pipeline, select_representatives
 from .preprocess import build_atlas, load_atlas, save_atlas
-from .volume import KIND_LABEL, extract_slice
+from .volume import KIND_LABEL
 
 log = logging.getLogger(__name__)
 
@@ -101,15 +102,14 @@ def cmd_atlas_build(args) -> int:
     if not cases:
         raise ConfigurationError(f"manifest {args.manifest} lists no cases")
     rep = cfg.extract.representative_slices
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     slices_by_index = {n: [] for n in rep}
     for case in cases:
         gt = read_mha(case.gt_path, kind=KIND_LABEL)
-        for n in rep:
-            slices_by_index[n].append(extract_slice(gt, n))
+        for n, slc in representative_gt_slices(gt, rep, case.gt_path).items():
+            slices_by_index[n].append(slc)
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary = []
     for n in rep:
         atlas = build_atlas(slices_by_index[n])

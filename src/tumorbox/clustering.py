@@ -11,7 +11,6 @@ intensity, so for k=5 the brightest class is label 5.
 """
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,18 +112,23 @@ class LabelMap:
         return self.labels.shape[0]
 
 
-def _quantile_centers(values: np.ndarray, k: int) -> np.ndarray:
-    # Centers at the (2i-1)/(2k) quantiles: deterministic and well spread
-    # for the unimodal-plus-bump histograms MR slices produce.
-    qs = (2 * np.arange(1, k + 1) - 1) / (2 * k)
-    return np.quantile(values, qs)
+def _starts(values: np.ndarray, cfg: ClusterConfig) -> list[tuple[int, np.ndarray]]:
+    """(restart, initial centers) of every restart, drawn from the pixels.
 
-
-def _initial_centers(values: np.ndarray, k: int, strategy: str, rng: np.random.Generator) -> np.ndarray:
-    if strategy == INIT_QUANTILE_SPREAD:
-        return _quantile_centers(values, k)
-    idx = rng.choice(values.size, size=k, replace=values.size < k)
-    return values[idx].astype(np.float64)
+    Restart 0 uses the configured init; quantile spread puts the centers at
+    the (2i-1)/(2k) quantiles, deterministic and well spread for the
+    unimodal-plus-bump histograms MR slices produce. Later restarts draw
+    random data points from one RNG stream seeded per fit.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    starts = []
+    for restart in range(cfg.n_restarts):
+        if restart == 0 and cfg.init == INIT_QUANTILE_SPREAD:
+            centers = np.quantile(values, (2 * np.arange(1, cfg.k + 1) - 1) / (2 * cfg.k))
+        else:
+            centers = values[rng.choice(values.size, size=cfg.k, replace=values.size < cfg.k)]
+        starts.append((restart, centers))
+    return starts
 
 
 def _assign(distinct: np.ndarray, centers: np.ndarray):
@@ -217,11 +221,8 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
             degenerate=True,
         )
 
-    rng = np.random.default_rng(cfg.seed)
     best: KMeansResult | None = None
-    for restart in range(cfg.n_restarts):
-        strategy = cfg.init if restart == 0 else INIT_RANDOM_FROM_DATA
-        centers0 = _initial_centers(values, cfg.k, strategy, rng)
+    for restart, centers0 in _starts(values, cfg):
         centroids, assign, trace, iterations = _lloyd(distinct, counts, inverse, centers0, cfg.max_iter)
         if best is None or trace[-1] < best.objective:
             best = KMeansResult(
@@ -253,23 +254,13 @@ def _e_step(design, weights, means, variances):
     return ll, logp
 
 
-def _em_run(
-    design: np.ndarray,
-    k: int,
-    means0: np.ndarray,
-    max_iter: int,
-    tol: float,
-    weights0: np.ndarray | None = None,
-    variances0: np.ndarray | None = None,
-):
-    """One EM run on the (3, n) design [1, x, x^2]; posteriors are (k, n)."""
+def _em_run(design: np.ndarray, weights0, means0, variances0, max_iter: int, tol: float):
+    """One EM run on the (3, n) design [1, x, x^2] from the given start;
+    posteriors are (k, n). The start arrays are only read, so runs may
+    share them."""
     n = design.shape[1]
-    weights = np.full(k, 1.0 / k) if weights0 is None else weights0.astype(np.float64).copy()
-    means = means0.astype(np.float64).copy()
-    if variances0 is None:
-        variances = np.full(k, max(float(np.var(design[1])), VARIANCE_FLOOR))
-    else:
-        variances = np.maximum(variances0.astype(np.float64), VARIANCE_FLOOR)
+    weights, means = weights0, means0
+    variances = np.maximum(variances0, VARIANCE_FLOOR)
 
     trace: list[float] = []
     converged = False
@@ -298,7 +289,7 @@ def _em_run(
         trace.append(ll)
 
     model = GmmModel(
-        k=k,
+        k=means.size,
         weights=weights,
         means=means,
         variances=variances,
@@ -312,49 +303,12 @@ def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
 
     The log-likelihood is non-decreasing over iterations (up to a variance
     floor that in practice never binds on continuous data); posterior rows
-    always sum to one. k=1 short-circuits to the closed-form fit.
+    always sum to one. Every k, k=1 included, goes through the same runs.
     """
     cfg = cfg or ClusterConfig()
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if values.size == 0:
         raise ValidationError("em_gmm_1d needs at least one value")
-
-    if cfg.k == 1:
-        mean = float(values.mean())
-        var = max(float(np.var(values)), VARIANCE_FLOOR)
-        ll = float(
-            -0.5 * np.sum((values - mean) ** 2) / var
-            - 0.5 * values.size * math.log(2.0 * math.pi * var)
-        )
-        model = GmmModel(
-            k=1,
-            weights=np.ones(1),
-            means=np.array([mean]),
-            variances=np.array([var]),
-            log_likelihood=ll,
-        )
-        return EmResult(
-            model=model,
-            posteriors=np.ones((values.size, 1)),
-            log_likelihood_trace=[ll],
-            n_iter=0,
-            converged=True,
-        )
-
-    rng = np.random.default_rng(cfg.seed)
-    best: EmResult | None = None
-
-    def consider(restart, model, posteriors, trace, converged):
-        nonlocal best
-        if best is None or model.log_likelihood > best.model.log_likelihood:
-            best = EmResult(
-                model=model,
-                posteriors=posteriors,
-                log_likelihood_trace=trace,
-                n_iter=len(trace),
-                converged=converged,
-                best_restart=restart,
-            )
 
     # Warm start from the K-means partition under the same config. Quantile
     # or random means routinely merge a small far-out intensity mode (e.g. a
@@ -364,25 +318,27 @@ def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
     # still decides.
     km = kmeans_1d(values, cfg)
     assign = km.assignment
-    counts = np.bincount(assign, minlength=cfg.k).astype(np.float64)
-    safe = np.maximum(counts, 1.0)
-    km_weights = np.maximum(counts, 1.0) / float(values.size)
-    km_weights = km_weights / km_weights.sum()
+    safe = np.maximum(np.bincount(assign, minlength=cfg.k).astype(np.float64), 1.0)
+    km_weights = safe / float(values.size)
     km_vars = np.bincount(assign, weights=(values - km.centroids[assign]) ** 2, minlength=cfg.k) / safe
-    design = np.stack((np.ones_like(values), values, values * values))
-    model, posteriors, trace, converged = _em_run(
-        design, cfg.k, km.centroids, cfg.max_iter, cfg.tol,
-        weights0=km_weights, variances0=km_vars,
-    )
-    consider(-1, model, posteriors, trace, converged)
+    flat = np.full(cfg.k, 1.0 / cfg.k)
+    spread = np.full(cfg.k, np.var(values))
+    starts = [(-1, km_weights / km_weights.sum(), km.centroids, km_vars)]
+    starts += [(restart, flat, means0, spread) for restart, means0 in _starts(values, cfg)]
 
-    for restart in range(cfg.n_restarts):
-        strategy = cfg.init if restart == 0 else INIT_RANDOM_FROM_DATA
-        means0 = _initial_centers(values, cfg.k, strategy, rng)
-        model, posteriors, trace, converged = _em_run(
-            design, cfg.k, means0, cfg.max_iter, cfg.tol
-        )
-        consider(restart, model, posteriors, trace, converged)
+    design = np.stack((np.ones_like(values), values, values * values))
+    best: EmResult | None = None
+    for restart, weights0, means0, variances0 in starts:
+        model, posteriors, trace, converged = _em_run(design, weights0, means0, variances0, cfg.max_iter, cfg.tol)
+        if best is None or model.log_likelihood > best.model.log_likelihood:
+            best = EmResult(
+                model=model,
+                posteriors=posteriors,
+                log_likelihood_trace=trace,
+                n_iter=len(trace),
+                converged=converged,
+                best_restart=restart,
+            )
     best.posteriors = np.ascontiguousarray(best.posteriors.T)
     return best
 

@@ -23,7 +23,6 @@ class Component:
 
     pixels: np.ndarray
     centroid: tuple[float, float]
-    label_class: int | None = None
 
     @property
     def area(self) -> int:
@@ -89,7 +88,7 @@ def _run_roots(rows, starts, stops, reach: int, width: int) -> np.ndarray:
         roots = jumped
 
 
-def connected_components(mask, connectivity: int = 8, label_class: int | None = None) -> list[Component]:
+def connected_components(mask, connectivity: int = 8) -> list[Component]:
     """Partition the set pixels of ``mask`` into maximal connected groups.
 
     Returns components sorted by area descending, ties broken by the smaller
@@ -124,6 +123,6 @@ def connected_components(mask, connectivity: int = 8, label_class: int | None = 
     bounds = np.concatenate([[0], np.cumsum(areas)]).tolist()
     centroids = list(zip((row_sums / areas).tolist(), (col_sums / areas).tolist()))
     return [
-        Component(pixels=pixels[bounds[c]:bounds[c + 1]], centroid=centroids[c], label_class=label_class)
+        Component(pixels=pixels[bounds[c]:bounds[c + 1]], centroid=centroids[c])
         for c in np.argsort(-areas, kind="stable").tolist()
     ]

@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import DICE_FORMULAS, FORMULA_STANDARD, RunConfig
 from .errors import (
+    ConfigurationError,
     EmptyGroundTruthError,
     FormatError,
     NoTumorDetectedError,
@@ -50,8 +51,15 @@ def gt_box(cumulative: Slice) -> BBox:
     return mask_bbox(mask, margin=0)
 
 
-def _box_pixels(box: BBox) -> int:
-    return box.area
+def representative_gt_slices(gt: Volume, slices, path) -> dict[int, Slice]:
+    """The slices of ground truth ``gt`` (read from ``path``) at each
+    representative index; a ground truth shallower than the deepest index
+    is a configuration error."""
+    if gt.depth < max(slices):
+        raise ConfigurationError(
+            f"ground truth {path} has depth {gt.depth}, smaller than representative slice {max(slices)}"
+        )
+    return {n: extract_slice(gt, n) for n in slices}
 
 
 def _intersection(a: BBox, b: BBox) -> int:
@@ -76,11 +84,9 @@ def dice_box(a: BBox, b: BBox, dims: tuple[int, int], formula: str = FORMULA_STA
         if box.row_max >= height or box.col_max >= width:
             raise ValidationError(f"box {box} exceeds image dims {dims}")
     inter = _intersection(a, b)
-    size_a = _box_pixels(a)
-    size_b = _box_pixels(b)
     if formula == FORMULA_STANDARD:
-        return 2.0 * inter / (size_a + size_b)
-    union = size_a + size_b - inter
+        return 2.0 * inter / (a.area + b.area)
+    union = a.area + b.area - inter
     value = 2.0 * inter / union
     if value > 1.0:
         log.warning("paper-union dice %.4f exceeds 1 (boxes overlap heavily)", value)
@@ -267,7 +273,7 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
                 gt = read_mha(case.gt_path, kind=KIND_LABEL)
             except (TumorBoxError, OSError):
                 continue  # reported when the case itself is evaluated
-            gt_slices[i] = {n: extract_slice(gt, n) for n in rep}
+            gt_slices[i] = representative_gt_slices(gt, rep, case.gt_path)
         readable = [s for s in gt_slices if s is not None]
         if readable:
             totals = {n: build_atlas([s[n] for s in readable]) for n in rep}

@@ -192,7 +192,7 @@ def extract_tumor_map(label_map: LabelMap, params: ExtractParams | None = None) 
     )
 
     for cls in (5, 4):
-        comps = connected_components(labels == cls, connectivity=8, label_class=cls)
+        comps = connected_components(labels == cls, connectivity=8)
         if not comps:
             continue
         largest = comps[0]
@@ -357,15 +357,9 @@ class PipelineResult:
     report: PipelineReport
 
 
-def _as_atlas_map(atlases) -> Mapping[int, Atlas]:
-    if isinstance(atlases, Mapping):
-        return atlases
-    return {a.slice_index: a for a in atlases}
-
-
 def run_pipeline(
     volume: Volume,
-    atlases,
+    atlases: Mapping[int, Atlas],
     method: str = "em",
     cluster_cfg: ClusterConfig | None = None,
     params: ExtractParams | None = None,
@@ -374,22 +368,21 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run the full pipeline on one volume and return the bounding box.
 
-    ``atlases`` maps slice index to Atlas (an iterable of Atlas works too)
-    and must cover every representative slice. Raises NoTumorDetectedError,
-    with the report attached, when the fused map is empty or, in strict
-    mode, when no quadrant wins the vote.
+    ``atlases`` maps slice index to Atlas and must cover every
+    representative slice. Raises NoTumorDetectedError, with the report
+    attached, when the fused map is empty or, in strict mode, when no
+    quadrant wins the vote.
     """
     cluster_cfg = cluster_cfg or ClusterConfig()
     params = params or ExtractParams()
     enhance = enhance or EnhanceParams()
-    atlas_map = _as_atlas_map(atlases)
 
     slices = params.representative_slices
     if volume.depth < max(slices):
         raise ConfigurationError(
             f"volume depth {volume.depth} is smaller than representative slice {max(slices)}"
         )
-    missing = [n for n in slices if n not in atlas_map]
+    missing = [n for n in slices if n not in atlases]
     if missing:
         raise ConfigurationError(
             f"no atlas for representative slice(s): {', '.join(map(str, missing))}"
@@ -408,7 +401,7 @@ def run_pipeline(
     for n in slices:
         raw = timed("extract", extract_slice, volume, n)
         norm = timed("normalize", normalize, raw)
-        enhanced = timed("enhance", enhance_contrast, norm, atlas_map[n], enhance)
+        enhanced = timed("enhance", enhance_contrast, norm, atlases[n], enhance)
         label_map = timed(
             "segment",
             segment_slice,

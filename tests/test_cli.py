@@ -53,6 +53,30 @@ def phantom_dir(tmp_path):
 
 
 @pytest.fixture()
+def shallow_manifest(phantom_dir, tmp_path):
+    """The three 48x48x24 phantoms plus one 48x48x12 phantom, too shallow
+    for the deepest slice of SMALL_SLICES."""
+    shallow = tmp_path / "shallow"
+    assert run([
+        "phantom", "--out-dir", str(shallow), "--count", "1", "--seed", "7",
+        "--dims", "48", "48", "12", "--radius-min", "4", "--radius-max", "6",
+    ]) == 0
+    for kind in ("flair", "gt"):
+        (shallow / f"phantom_000_{kind}.mha").rename(shallow / f"shallow_{kind}.mha")
+    manifest = phantom_dir / "shallow.csv"
+    manifest.write_text(
+        (phantom_dir / "manifest.csv").read_text()
+        + f"{shallow}/shallow_flair.mha,{shallow}/shallow_gt.mha,Phantom\n"
+    )
+    return manifest, shallow / "shallow_gt.mha"
+
+
+def assert_shallow_gt_logged(caplog, gt_path):
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert any(str(gt_path) in m and "depth 12" in m and "slice 15" in m for m in messages), messages
+
+
+@pytest.fixture()
 def atlas_dir(tmp_path, phantom_dir):
     out = tmp_path / "atlases"
     code = run([
@@ -149,6 +173,18 @@ class TestAtlasBuild:
     def test_missing_manifest_is_io_error(self, tmp_path):
         code = run(["atlas", "build", "--manifest", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path / "o")])
         assert code == 4
+
+    def test_shallow_gt_is_usage_error(self, shallow_manifest, tmp_path, caplog):
+        manifest, gt_path = shallow_manifest
+        out = tmp_path / "atlases"
+        with caplog.at_level("ERROR"):
+            code = run([
+                "atlas", "build", "--manifest", str(manifest), "--out-dir", str(out),
+                "--slices", SMALL_SLICES,
+            ])
+        assert code == 2
+        assert_shallow_gt_logged(caplog, gt_path)
+        assert not list(tmp_path.rglob("atlas_slice_*.json"))
 
 
 class TestExtract:
@@ -466,6 +502,19 @@ class TestEval:
         assert code == 2
         assert any("mixed slice dims in atlas input" in rec.getMessage() for rec in caplog.records)
         assert not list(tmp_path.rglob("results_*.csv"))
+
+    def test_loo_shallow_gt_is_usage_error(self, shallow_manifest, tmp_path, caplog):
+        manifest, gt_path = shallow_manifest
+        out = tmp_path / "loo"
+        with caplog.at_level("ERROR"):
+            code = run([
+                "eval", "--manifest", str(manifest), "--out-dir", str(out),
+                "--slices", SMALL_SLICES, "--method", "kmeans", "--loo",
+            ])
+        assert code == 2
+        assert_shallow_gt_logged(caplog, gt_path)
+        assert not list(tmp_path.rglob("results_*.csv"))
+        assert not list(tmp_path.rglob("summary_*.json"))
 
     def test_paper_union_formula_labelled(self, phantom_dir, atlas_dir, tmp_path, capsys):
         out = tmp_path / "pu"
