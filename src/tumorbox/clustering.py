@@ -1,17 +1,25 @@
 """1-D intensity clustering: Lloyd K-means and Gaussian-mixture EM.
 
-K-means runs on the sorted distinct intensities of a slice, each weighted
-by its pixel count: 1-D nearest-center cells are intervals, so a Lloyd step
-is a few ``searchsorted`` cuts and segment sums. EM fits a Gaussian mixture
-to the pixel intensities with posteriors held as (k, n), so each step is one
-small matrix product on the design [1, x, x^2]; the winner's posteriors are
-returned per pixel and hard-assigned downstream. ``segment_slice``
-turns either result into a label map whose classes are ranked by mean
-intensity, so for k=5 the brightest class is label 5.
+Each fit starts from a histogram of its pixels: the sorted distinct values,
+the pixel-to-value index and prefix sums of count, (x - mean)*count and
+(x - mean)^2*count, built once per fit and shared by all restarts. Restart starts
+are read off it (quantile spread from the cumulative counts, random starts
+as drawn pixels). K-means runs on it: 1-D nearest-center cells are
+intervals, so a Lloyd step is a few binary-search cuts, and each cluster's
+size, mean and sum of squares are prefix-sum differences, O(k log m) per
+iteration for m distinct values. EM fits a Gaussian mixture to the pixel
+intensities with posteriors held as (k, n), so each step is one small matrix
+product on the design [1, x, x^2]; the winner's posteriors are returned per
+pixel and hard-assigned downstream. ``segment_slice`` turns either result
+into a label map whose classes are ranked by mean intensity, so for k=5 the
+brightest class is label 5.
 """
 
 import logging
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +39,10 @@ INIT_RANDOM_FROM_DATA = "random-from-data"
 # Lower bound on mixture variances (normalised-intensity units squared);
 # keeps components from collapsing onto repeated values.
 VARIANCE_FLOOR = 1e-6
+
+# EM restarts whose final log-likelihoods differ by no more than this,
+# relative, reached one optimum; the earlier run wins, not rounding noise.
+LL_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -112,82 +124,164 @@ class LabelMap:
         return self.labels.shape[0]
 
 
-def _starts(values: np.ndarray, cfg: ClusterConfig) -> list[tuple[int, np.ndarray]]:
+class _Histogram(NamedTuple):
+    """One fit's pixels as sorted distinct values with prefix sums, so any
+    run of values has its pixel count, sum and sum of squares in O(1).
+
+    The sums are of ``x - shift``, with ``shift`` the pixel mean: the sum of
+    squares of a tight cluster is then a difference of small numbers, not of
+    two large ones that cancel.
+    """
+
+    distinct: np.ndarray  # sorted distinct values
+    inverse: np.ndarray  # pixel -> index into distinct
+    xs: list  # distinct as Python floats
+    shift: float
+    cum_n: list  # cum_n[j]: pixels below distinct[j]; length m + 1
+    cum_x: list  # same for (x - shift) * count
+    cum_xx: list  # same for (x - shift)^2 * count
+
+
+def _histogram(values: np.ndarray) -> _Histogram:
+    distinct, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    shift = float(distinct @ counts / values.size)
+    centered = distinct - shift
+    mass = centered * counts
+    return _Histogram(
+        distinct,
+        inverse,
+        distinct.tolist(),
+        shift,
+        [0, *np.cumsum(counts).tolist()],
+        [0.0, *np.cumsum(mass).tolist()],
+        [0.0, *np.cumsum(mass * centered).tolist()],
+    )
+
+
+def _quantile_spread(hist: _Histogram, k: int) -> list[float]:
+    """``np.quantile(pixels, (2i - 1) / 2k)`` for i = 1..k, to the bit: the
+    same index arithmetic and two-sided lerp, with the order statistics
+    read off the cumulative counts instead of a partition of the pixels."""
+    xs, cum = hist.xs, hist.cum_n
+    n = cum[-1]
+    centers = []
+    for i in range(1, k + 1):
+        pos = (n - 1) * ((2 * i - 1) / (2 * k))
+        low = math.floor(pos)
+        t = pos - low
+        a = xs[bisect_right(cum, low) - 1]
+        b = xs[bisect_right(cum, min(low + 1, n - 1)) - 1]
+        centers.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return centers
+
+
+def _starts(hist: _Histogram, cfg: ClusterConfig) -> list[tuple[int, np.ndarray]]:
     """(restart, initial centers) of every restart, drawn from the pixels.
 
     Restart 0 uses the configured init; quantile spread puts the centers at
     the (2i-1)/(2k) quantiles, deterministic and well spread for the
     unimodal-plus-bump histograms MR slices produce. Later restarts draw
-    random data points from one RNG stream seeded per fit.
+    random pixels from one RNG stream seeded per fit.
     """
+    n = hist.inverse.size
     rng = np.random.default_rng(cfg.seed)
     starts = []
     for restart in range(cfg.n_restarts):
         if restart == 0 and cfg.init == INIT_QUANTILE_SPREAD:
-            centers = np.quantile(values, (2 * np.arange(1, cfg.k + 1) - 1) / (2 * cfg.k))
+            centers = np.array(_quantile_spread(hist, cfg.k))
         else:
-            centers = values[rng.choice(values.size, size=cfg.k, replace=values.size < cfg.k)]
+            centers = hist.distinct[hist.inverse[rng.choice(n, size=cfg.k, replace=n < cfg.k)]]
         starts.append((restart, centers))
     return starts
 
 
-def _assign(distinct: np.ndarray, centers: np.ndarray):
+def _assign(distinct, centers):
     """Nearest center of each sorted distinct value, ``argmin(|x - c|)`` with
     ties to the lower center index, as runs in value order (a center owns
     several only on the exact path): lists of run center, start and length.
 
     1-D nearest-center cells are the intervals between midpoints of the
-    sorted centers, so the cuts come from ``searchsorted``. Where rounding of
+    sorted centers, so the cuts come from binary search. Where rounding of
     ``|x - c|`` can tie two centers (a value within a few ulps of a midpoint,
     or centers equal or a few ulps apart) every value is decided by that
     exact comparison instead.
     """
-    n = distinct.size
-    order = np.argsort(centers)
-    ranked = centers[order]
-    tol = 4.0 * np.spacing(max(-distinct[0], distinct[-1], -ranked[0], ranked[-1]))
-    mids = 0.5 * (ranked[:-1] + ranked[1:])
-    lo = np.searchsorted(distinct, mids - tol)
-    hi = np.searchsorted(distinct, mids + tol, side="right")
-    if (hi > lo).any() or (ranked[1:] - ranked[:-1] <= 2.0 * tol).any():
-        labels = np.argmin(np.abs(distinct[:, None] - centers), axis=1)
-        starts = np.flatnonzero(np.diff(labels, prepend=-1))
-        return labels[starts].tolist(), starts.tolist(), np.diff(starts, append=n).tolist()
-    cuts = [0, *lo.tolist(), n]
-    runs = [(j, a, b - a) for j, a, b in zip(order.tolist(), cuts, cuts[1:]) if b > a]
+    n = len(distinct)
+    order = sorted(range(len(centers)), key=centers.__getitem__)
+    ranked = [centers[j] for j in order]
+    tol = 4.0 * math.ulp(max(-distinct[0], distinct[-1], -ranked[0], ranked[-1]))
+    cuts = [0]
+    for lo, hi in zip(ranked, ranked[1:]):
+        mid = 0.5 * (lo + hi)
+        cut = bisect_left(distinct, mid - tol)
+        if hi - lo <= 2.0 * tol or bisect_right(distinct, mid + tol, cut) > cut:
+            labels = np.argmin(np.abs(np.asarray(distinct)[:, None] - np.asarray(centers)), axis=1)
+            starts = np.flatnonzero(np.diff(labels, prepend=-1))
+            return labels[starts].tolist(), starts.tolist(), np.diff(starts, append=n).tolist()
+        cuts.append(cut)
+    cuts.append(n)
+    runs = [(j, a, b - a) for j, a, b in zip(order, cuts, cuts[1:]) if b > a]
     return [r[0] for r in runs], [r[1] for r in runs], [r[2] for r in runs]
 
 
-def _lloyd(distinct: np.ndarray, counts: np.ndarray, inverse: np.ndarray, centers: np.ndarray, max_iter: int):
-    """One Lloyd run over the sorted distinct values, each weighted by its
-    pixel count; ``inverse`` maps pixels to values. Returns (centroids,
-    per-value assignment, objective trace, iters)."""
-    k = centers.size
-    centers = centers.astype(np.float64)
-    mass = distinct * counts
+def _farthest(hist: _Histogram, centers, owners, starts, sizes) -> float:
+    """The value farthest from its assigned center; among ties, the one
+    that occurs first in pixel order.
+
+    ``x - c`` rounds monotonically in x, so over a run it is extreme at the
+    run's ends, and the values tied with an end form one stretch there.
+    """
+    xs = hist.xs
+    runs = list(zip(owners, starts, sizes))
+    top = max(max(abs(xs[a] - centers[j]), abs(xs[a + m - 1] - centers[j])) for j, a, m in runs)
+    tied = []
+    for j, a, m in runs:
+        def gap(x, c=centers[j]):
+            return x - c
+
+        for end in (-top, top):
+            tied += range(bisect_left(xs, end, a, a + m, key=gap), bisect_right(xs, end, a, a + m, key=gap))
+    if len(tied) == 1:
+        return xs[tied[0]]
+    inverse = hist.inverse
+    return xs[inverse[np.flatnonzero(np.isin(inverse, tied))[0]]]
+
+
+def _lloyd(hist: _Histogram, centers: list[float], max_iter: int):
+    """One Lloyd run over the histogram from the given centers. Returns
+    (centroids, runs of the final assignment as ``_assign`` gives them,
+    objective trace, iters). An iteration reads the prefix sums at the k
+    or so run ends, not the m values; only an empty-cluster repair that
+    finds several farthest values scans the pixels for the first."""
+    k = len(centers)
+    cum_n, cum_x, cum_xx = hist.cum_n, hist.cum_x, hist.cum_xx
     prev = None
     trace: list[float] = []
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        owners, starts, sizes = _assign(distinct, centers)
+        runs = _assign(hist.xs, centers)
         # Repair empty clusters: move each onto the value currently farthest
         # from its assigned centroid (the earliest in pixel order among
         # ties), then re-assign.
-        while len(set(owners)) < k:
-            empty = min(set(range(k)) - set(owners))
-            dist = np.abs(distinct - np.repeat(centers[owners], sizes))
-            tied = np.flatnonzero(dist == dist.max())
-            centers[empty] = distinct[inverse[np.flatnonzero(np.isin(inverse, tied))[0]]]
-            owners, starts, sizes = _assign(distinct, centers)
-        if (owners, sizes) == prev:
+        while len(set(runs[0])) < k:
+            centers[min(set(range(k)) - set(runs[0]))] = _farthest(hist, centers, *runs)
+            runs = _assign(hist.xs, centers)
+        if runs == prev:
             break
-        centers = np.bincount(owners, weights=np.add.reduceat(mass, starts), minlength=k) / np.bincount(
-            owners, weights=np.add.reduceat(counts, starts), minlength=k
-        )
-        trace.append(float(np.sum(counts * (distinct - np.repeat(centers[owners], sizes)) ** 2)))
-        prev = owners, sizes
-    return centers, np.repeat(*prev), trace, iterations
+        size, s1, s2 = [0] * k, [0.0] * k, [0.0] * k
+        for j, a, m in zip(*runs):
+            b = a + m
+            size[j] += cum_n[b] - cum_n[a]
+            s1[j] += cum_x[b] - cum_x[a]
+            s2[j] += cum_xx[b] - cum_xx[a]
+        means = [s / n for s, n in zip(s1, size)]  # of x - shift
+        centers = [hist.shift + c for c in means]
+        # Summed in value order, so restarts that reach one partition under
+        # other center indices get the same objective and the first keeps it.
+        trace.append(sum(s2[j] - s1[j] * means[j] for j in dict.fromkeys(runs[0])))
+        prev = runs
+    return centers, prev, trace, iterations
 
 
 def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
@@ -195,47 +289,49 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
 
     Restart 0 uses the configured initialisation (quantile spread by
     default); further restarts draw random data points, honouring the random
-    start while keeping the default run deterministic. Starts are drawn from
-    the pixels; Lloyd then runs on the distinct values weighted by their
-    counts, which gives the per-pixel result at a cost that scales with the
-    number of distinct values. With fewer distinct values than k the
-    distinct values become centroids, the remainder are duplicates, and the
-    result is flagged degenerate.
+    start while keeping the default run deterministic. Starts are read off
+    the histogram exactly as if drawn from the pixels; Lloyd then runs on
+    the distinct values weighted by their counts, which gives the per-pixel
+    result at a cost per iteration that grows with the log of the number of
+    distinct values. With fewer distinct values than k the distinct values
+    become centroids, the remainder are duplicates, and the result is
+    flagged degenerate.
     """
     cfg = cfg or ClusterConfig()
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if values.size == 0:
         raise ValidationError("kmeans_1d needs at least one value")
 
-    distinct, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    hist = _histogram(values)
+    distinct = hist.distinct
     if distinct.size < cfg.k:
         centroids = np.concatenate(
             [distinct, np.full(cfg.k - distinct.size, distinct[-1])]
         )
         return KMeansResult(
             centroids=centroids,
-            assignment=inverse,  # value i sits on centroid i; duplicates lose ties
+            assignment=hist.inverse,  # value i sits on centroid i; duplicates lose ties
             objective=0.0,
             objective_trace=[0.0],
             n_iter=0,
             degenerate=True,
         )
 
-    best: KMeansResult | None = None
-    for restart, centers0 in _starts(values, cfg):
-        centroids, assign, trace, iterations = _lloyd(distinct, counts, inverse, centers0, cfg.max_iter)
-        if best is None or trace[-1] < best.objective:
-            best = KMeansResult(
-                centroids=centroids,
-                assignment=assign,
-                objective=trace[-1],
-                objective_trace=trace,
-                n_iter=iterations,
-                degenerate=False,
-                best_restart=restart,
-            )
-    best.assignment = best.assignment[inverse]
-    return best
+    best = None
+    for restart, centers0 in _starts(hist, cfg):
+        centroids, runs, trace, iterations = _lloyd(hist, centers0.tolist(), cfg.max_iter)
+        if best is None or trace[-1] < best[3][-1]:
+            best = restart, centroids, runs, trace, iterations
+    restart, centroids, (owners, _, sizes), trace, iterations = best
+    return KMeansResult(
+        centroids=np.array(centroids),
+        assignment=np.repeat(owners, sizes)[hist.inverse],
+        objective=trace[-1],
+        objective_trace=trace,
+        n_iter=iterations,
+        degenerate=False,
+        best_restart=restart,
+    )
 
 
 def _e_step(design, weights, means, variances):
@@ -301,9 +397,12 @@ def _em_run(design: np.ndarray, weights0, means0, variances0, max_iter: int, tol
 def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
     """Fit a k-component 1-D Gaussian mixture by EM, best restart wins.
 
-    The log-likelihood is non-decreasing over iterations (up to a variance
-    floor that in practice never binds on continuous data); posterior rows
-    always sum to one. Every k, k=1 included, goes through the same runs.
+    Runs whose final log-likelihoods agree within ``LL_TIE_RTOL`` are tied
+    and the earlier one wins: the K-means warm start (restart -1), then
+    restarts 0, 1, ... The log-likelihood is non-decreasing over iterations
+    (up to a variance floor that in practice never binds on continuous
+    data); posterior rows always sum to one. Every k, k=1 included, goes
+    through the same runs.
     """
     cfg = cfg or ClusterConfig()
     values = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -324,13 +423,14 @@ def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
     flat = np.full(cfg.k, 1.0 / cfg.k)
     spread = np.full(cfg.k, np.var(values))
     starts = [(-1, km_weights / km_weights.sum(), km.centroids, km_vars)]
-    starts += [(restart, flat, means0, spread) for restart, means0 in _starts(values, cfg)]
+    starts += [(restart, flat, means0, spread) for restart, means0 in _starts(_histogram(values), cfg)]
 
     design = np.stack((np.ones_like(values), values, values * values))
     best: EmResult | None = None
     for restart, weights0, means0, variances0 in starts:
         model, posteriors, trace, converged = _em_run(design, weights0, means0, variances0, cfg.max_iter, cfg.tol)
-        if best is None or model.log_likelihood > best.model.log_likelihood:
+        ll = model.log_likelihood
+        if best is None or ll - best.model.log_likelihood > LL_TIE_RTOL * abs(best.model.log_likelihood):
             best = EmResult(
                 model=model,
                 posteriors=posteriors,
@@ -361,11 +461,16 @@ def _rank_by_mean(raw_labels: np.ndarray, values: np.ndarray, k: int, fallback_m
     """Relabel clusters 1..k so empirical mean intensity ascends with label.
 
     Empty clusters are placed by the model/centroid mean, which cannot break
-    the ordering invariant since they have no pixels.
+    the ordering invariant since they have no pixels. One stable sort by
+    label lines each class's pixels up in pixel order, so each mean is the
+    one ``np.mean`` gives on that class's pixels, to the bit: means that tie
+    within rounding (an EM component duplicated by an empty one) keep their
+    order.
     """
+    by_label = np.argsort(raw_labels.astype(np.min_scalar_type(k)), kind="stable")
+    ends = np.cumsum(np.bincount(raw_labels, minlength=k))
     keys = fallback_means.astype(np.float64).copy()
-    for j in range(k):
-        members = values[raw_labels == j]
+    for j, members in enumerate(np.split(values[by_label], ends[:-1])):
         if members.size:
             keys[j] = members.mean()
     order = np.argsort(keys, kind="stable")

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import os
 import subprocess
@@ -14,6 +15,9 @@ from conftest import PHANTOM_REP_SLICES, make_slice
 from tumorbox.clustering import (
     ClusterConfig,
     _assign,
+    _histogram,
+    _lloyd,
+    _starts,
     em_gmm_1d,
     hard_assign,
     kmeans_1d,
@@ -95,6 +99,16 @@ class TestKMeans:
         with pytest.raises(ValidationError):
             kmeans_1d([], ClusterConfig(k=2))
 
+    def test_objective_does_not_depend_on_center_order(self):
+        # Restarts often reach one partition under other center indices;
+        # the objective must then be the same to the bit, so that the
+        # first of them wins and not whichever rounded lowest.
+        rng = np.random.default_rng(0)
+        hist = _histogram(np.concatenate([rng.normal(0.5, 0.03, 8000), rng.normal(0.9, 0.03, 600)]))
+        [(_, start)] = _starts(hist, ClusterConfig(n_restarts=1))
+        finals = {_lloyd(hist, list(p), 200)[2][-1] for p in itertools.permutations(start.tolist())}
+        assert len(finals) == 1
+
 
 def assert_matches_pixel_lloyd(values, cfg):
     res = kmeans_1d(values, cfg)
@@ -126,6 +140,17 @@ class TestKMeansMatchesPixelLloyd:
             ])
             rng.shuffle(values)
             assert_matches_pixel_lloyd(values, ClusterConfig(k=k, seed=trial, init=init))
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_enhanced_phantom_slices(self, case, phantom_cases, phantom_atlases):
+        # Continuous values, ~90% distinct: the prefix sums run over the
+        # most values here, so their rounding is largest.
+        from tumorbox.preprocess import enhance_contrast, normalize
+
+        _, vol, _ = phantom_cases[case]
+        for n in PHANTOM_REP_SLICES:
+            data = enhance_contrast(normalize(extract_slice(vol, n)), phantom_atlases[n]).data
+            assert_matches_pixel_lloyd(data[data > 0], ClusterConfig())
 
     def test_fewer_distinct_values_than_k(self):
         assert_matches_pixel_lloyd([4.0, 1.0, 4.0, 1.0, 9.0], ClusterConfig(k=5))
@@ -183,6 +208,41 @@ class TestIntervalAssignment:
         assert np.repeat(owners, sizes).tolist() == nearest_center_loop(distinct, centers)
 
 
+@st.composite
+def pixels(draw):
+    """1-200 pixel values: small integers with heavy repeats, or floats of
+    either sign. No -0.0, which np.unique merges into 0.0."""
+    if draw(st.booleans()):
+        base = st.integers(-20, 20).map(float)
+    else:
+        base = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    return np.array(draw(st.lists(base, min_size=1, max_size=200))) + 0.0
+
+
+class TestHistogramStarts:
+    @settings(max_examples=400, deadline=None)
+    @given(pixels(), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_starts_match_pixel_quantiles_and_draws_to_the_bit(self, values, k, seed):
+        cfg = ClusterConfig(k=k, seed=seed, n_restarts=3)
+        rng = np.random.default_rng(seed)
+        want = [np.quantile(values, (2 * np.arange(1, k + 1) - 1) / (2 * k))]
+        want += [values[rng.choice(values.size, size=k, replace=values.size < k)] for _ in range(2)]
+        got = _starts(_histogram(values), cfg)
+        assert [r for r, _ in got] == [0, 1, 2]
+        assert [c.tobytes() for _, c in got] == [c.tobytes() for c in want]
+
+
+def seeded_mixture(k, seed):
+    """Values of the ``seed``-th k-component mixture of
+    ``TestEmMatchesReference.test_seeded_random_mixtures``."""
+    rng = np.random.default_rng(400 + k)
+    for _ in range(seed + 1):
+        centers = rng.uniform(0.0, 1.0, k)
+        values = np.concatenate([rng.normal(c, rng.uniform(0.01, 0.08), rng.integers(50, 400)) for c in centers])
+        rng.shuffle(values)
+    return values
+
+
 class TestEmMatchesReference:
     """EM on the (3, n) design reproduces the (n, k) per-pixel EM."""
 
@@ -193,12 +253,10 @@ class TestEmMatchesReference:
         ref = em_pixel_reference(values, cfg.k, cfg.seed, cfg.n_restarts, cfg.max_iter, cfg.tol,
                                  km.centroids, km.assignment)
         # Runs that converge to one optimum end within rounding of each
-        # other; which of them wins depends on summation order, so the
-        # winner is compared with the run of the same index among those.
+        # other; the earliest of them wins (run -1 is the warm start).
         best_ll = ref["trace"][-1]
-        tied = {r["restart"]: r for r in ref["runs"] if abs(r["trace"][-1] - best_ll) <= 1e-12 * abs(best_ll)}
-        assert res.best_restart in tied
-        ref = tied[res.best_restart]
+        ref = next(r for r in ref["runs"] if abs(r["trace"][-1] - best_ll) <= 1e-12 * abs(best_ll))
+        assert res.best_restart == ref["restart"]
         assert np.array_equal(hard_assign(res.posteriors), np.argmax(ref["posteriors"], axis=1) + 1)
         assert (res.n_iter, res.converged) == (ref["n_iter"], ref["converged"])
         for got, want in ((res.model.weights, ref["weights"]), (res.model.means, ref["means"]),
@@ -217,12 +275,20 @@ class TestEmMatchesReference:
 
     @pytest.mark.parametrize("k", [2, 3, 5, 7])
     def test_seeded_random_mixtures(self, k):
-        rng = np.random.default_rng(400 + k)
         for seed in range(3):
-            centers = rng.uniform(0.0, 1.0, k)
-            values = np.concatenate([rng.normal(c, rng.uniform(0.01, 0.08), rng.integers(50, 400)) for c in centers])
-            rng.shuffle(values)
-            self.assert_matches_reference(values, ClusterConfig(k=k, seed=seed, n_restarts=3))
+            self.assert_matches_reference(seeded_mixture(k, seed), ClusterConfig(k=k, seed=seed, n_restarts=3))
+
+    def test_runs_tied_at_one_optimum_go_to_the_earliest(self):
+        # The warm start and all three restarts reach one optimum; their
+        # final log-likelihoods differ only in the last digits (about 2e-14
+        # relative), so the warm start wins, not whichever rounded highest.
+        values = seeded_mixture(2, 1)
+        cfg = ClusterConfig(k=2, seed=1, n_restarts=3)
+        km = kmeans_1d(values, cfg)
+        ref = em_pixel_reference(values, 2, 1, 3, cfg.max_iter, cfg.tol, km.centroids, km.assignment)
+        lls = np.array([r["trace"][-1] for r in ref["runs"]])
+        assert lls.max() - lls.min() <= 1e-12 * abs(lls.max()) and np.unique(lls).size > 1
+        assert em_gmm_1d(values, cfg).best_restart == -1
 
 
 class TestEm:
