@@ -55,7 +55,6 @@ from .pipeline import (
     bounding_box,
     extract_tumor_map,
     fuse_maps,
-    quadrant_votes,
     run_pipeline,
     select_representatives,
 )

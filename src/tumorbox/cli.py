@@ -247,7 +247,6 @@ def cmd_phantom(args) -> int:
                 noise_sigma=args.noise_sigma,
                 seed=cfg.seed + i,
             )
-        spec.validate()
         intensity, ground_truth = generate_phantom(spec)
         stem = f"phantom_{i:03d}"
         write_mha(intensity, out_dir / f"{stem}_flair.mha")

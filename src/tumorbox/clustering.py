@@ -115,14 +115,6 @@ class LabelMap:
     degenerate: bool = False
     fit: dict | None = None
 
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
 
 class _Histogram(NamedTuple):
     """One fit's pixels as sorted distinct values with prefix sums, so any

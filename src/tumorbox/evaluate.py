@@ -302,12 +302,8 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
             log.error("case %s skipped: %s", case.case_id, exc)
             return ErrorRecord(case_id=case.case_id, cohort=case.cohort, message=str(exc))
 
-    indexed = list(enumerate(cases))
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(run_one, indexed))
-    else:
-        outcomes = [run_one(ic) for ic in indexed]
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        outcomes = list(pool.map(run_one, enumerate(cases)))
 
     result = CohortResult(cohort=cohort, method=cfg.method, dice_formula=cfg.dice_formula)
     for outcome in outcomes:

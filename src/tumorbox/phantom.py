@@ -24,7 +24,7 @@ class PhantomSpec:
     ``dims`` is (width, height, depth); centers and radii are in voxels with
     coordinates ordered (x, y, z). ``tumor_offset`` is added on top of
     ``tissue_intensity`` inside the blob. All randomness (the noise) flows
-    from ``seed``.
+    from ``seed``. The spec is checked when it is built.
     """
 
     dims: tuple[int, int, int] = (128, 128, 64)
@@ -37,7 +37,7 @@ class PhantomSpec:
     noise_sigma: float = 0.03
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if len(self.dims) != 3 or any(int(d) <= 0 for d in self.dims):
             raise ValidationError(f"dims must be three positive integers, got {self.dims}")
         if any(r <= 0 for r in self.brain_radii):
@@ -114,7 +114,6 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume, Volume]:
     zero-mean Gaussian, applied inside the brain only, and the result is
     clipped at zero. Bit-identical for identical specs.
     """
-    spec.validate()
     width, height, depth = (int(v) for v in spec.dims)
 
     z = np.arange(depth, dtype=np.float64)[:, None, None]

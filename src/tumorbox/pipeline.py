@@ -39,8 +39,8 @@ class ExtractParams:
     ``area_max=None`` means half the brain-pixel count of the slice, the
     relative bound that rejects a whole-brain "component" on bright slices.
     The safety disk radius is radius_margin times the component's equivalent
-    radius. ``strict`` turns the no-winning-quadrant fallback into a hard
-    failure.
+    radius. ``strict`` drops the no-winning-quadrant fallback: the fused map
+    is then empty, which the box step rejects.
     """
 
     area_min: float = 50.0
@@ -155,11 +155,10 @@ def mask_bbox(mask: np.ndarray, margin: int = 0) -> BBox:
 
 
 def bounding_box(tumor_map: TumorMap, margin: int = 0) -> BBox:
-    """Smallest rectangle containing the tumor map, plus a safety margin."""
-    if tumor_map.is_empty:
-        raise NoTumorDetectedError(
-            f"tumor map for slice {tumor_map.slice_index} is empty"
-        )
+    """Smallest rectangle containing the tumor map, plus a safety margin.
+
+    Raises NoTumorDetectedError when the map is empty.
+    """
     return mask_bbox(tumor_map.mask, margin)
 
 
@@ -238,68 +237,55 @@ def quadrant_marks(tumor_map: TumorMap, min_pixels: int = 1) -> tuple[bool, bool
     )
 
 
-def quadrant_votes(maps: list[TumorMap], params: ExtractParams | None = None) -> tuple[int, int, int, int]:
-    """Per-quadrant count of maps detecting tumor there."""
-    params = params or ExtractParams()
-    if not maps:
-        raise ValidationError("quadrant_votes needs at least one map")
-    _check_same_dims(maps)
-    votes = [0, 0, 0, 0]
-    for tumor_map in maps:
-        for q, marked in enumerate(quadrant_marks(tumor_map, params.min_quadrant_pixels)):
-            votes[q] += int(marked)
-    return tuple(votes)
-
-
 @dataclass(frozen=True, eq=False)
 class FuseResult:
     fused: TumorMap
+    marks: tuple[tuple[bool, bool, bool, bool], ...]  # quadrant_marks per input map
     votes: tuple[int, int, int, int]
     winners: tuple[int, ...]  # winning quadrant numbers, 1-based
     fallback_used: bool
 
 
 def fuse_maps(maps: list[TumorMap], params: ExtractParams | None = None) -> FuseResult:
-    """Combine per-slice maps: keep detections inside quadrants whose vote
-    reaches ``vote_threshold``.
+    """Combine per-slice maps: each map marks the quadrants it covers, the
+    marks are counted as votes, and detections inside quadrants whose vote
+    reaches ``vote_threshold`` are kept.
 
-    If no quadrant wins, the union of all maps is kept with a warning, or
-    in strict mode the failure is raised.
+    If no quadrant wins, the union of all maps is kept with a warning; in
+    strict mode the fused map is empty instead.
     """
     params = params or ExtractParams()
     if not maps:
         raise ValidationError("fuse_maps needs at least one map")
     height, width = _check_same_dims(maps)
-    votes = quadrant_votes(maps, params)
+    marks = tuple(quadrant_marks(m, params.min_quadrant_pixels) for m in maps)
+    votes = tuple(sum(column) for column in zip(*marks))
     winners = tuple(q + 1 for q in range(4) if votes[q] >= params.vote_threshold)
 
     union = np.zeros((height, width), dtype=bool)
     for tumor_map in maps:
         union |= tumor_map.mask
 
-    fallback = False
-    if winners:
+    fallback = not winners and not params.strict
+    if fallback:
+        fused_mask = union
+    else:
         quadrants = _quadrant_slices(height, width)
         fused_mask = np.zeros((height, width), dtype=bool)
         for q in winners:
             rows, cols = quadrants[q - 1]
             fused_mask[rows, cols] = union[rows, cols]
-    elif params.strict:
-        raise NoTumorDetectedError(
-            f"no quadrant reached the vote threshold {params.vote_threshold} (votes {votes})"
-        )
-    else:
-        fallback = True
-        fused_mask = union
+    if not winners:
         log.warning(
-            "no quadrant reached the vote threshold %d (votes %s); "
-            "falling back to the union of all maps",
+            "no quadrant reached the vote threshold %d (votes %s)%s",
             params.vote_threshold,
             votes,
+            "; falling back to the union of all maps" if fallback else "",
         )
 
     return FuseResult(
         fused=TumorMap(mask=fused_mask, slice_index=0),
+        marks=marks,
         votes=votes,
         winners=winners,
         fallback_used=fallback,
@@ -370,8 +356,8 @@ def run_pipeline(
 
     ``atlases`` maps slice index to Atlas and must cover every
     representative slice. Raises NoTumorDetectedError, with the report
-    attached, when the fused map is empty or, in strict mode, when no
-    quadrant wins the vote.
+    attached, when the fused map is empty (in strict mode, also when no
+    quadrant wins the vote).
     """
     cluster_cfg = cluster_cfg or ClusterConfig()
     params = params or ExtractParams()
@@ -397,7 +383,7 @@ def run_pipeline(
         return out
 
     maps: list[TumorMap] = []
-    slice_reports: list[SliceReport] = []
+    fits: list[tuple[bool, dict | None]] = []  # (degenerate, fit) per slice
     for n in slices:
         raw = timed("extract", extract_slice, volume, n)
         norm = timed("normalize", normalize, raw)
@@ -410,37 +396,37 @@ def run_pipeline(
             cluster_cfg,
             include_background,
         )
-        tumor_map = timed("tumor_map", extract_tumor_map, label_map, params)
-        maps.append(tumor_map)
-        slice_reports.append(
-            SliceReport(
-                slice_index=n,
-                tumor_pixels=tumor_map.pixel_count,
-                used_class=tumor_map.used_class,
-                degenerate_segmentation=label_map.degenerate,
-                empty=tumor_map.is_empty,
-                quadrants_marked=quadrant_marks(tumor_map, params.min_quadrant_pixels),
-                fit=label_map.fit,
-            )
-        )
+        maps.append(timed("tumor_map", extract_tumor_map, label_map, params))
+        fits.append((label_map.degenerate, label_map.fit))
 
+    fusion = timed("fuse", fuse_maps, maps, params)
+    try:
+        bbox = timed("bounding_box", bounding_box, fusion.fused, params.bbox_margin)
+    except NoTumorDetectedError:
+        bbox = None
     report = PipelineReport(
         method=method,
-        slices=slice_reports,
-        votes=tuple(sum(marks) for marks in zip(*(s.quadrants_marked for s in slice_reports))),
-        winners=(),
-        fallback_used=False,
-        bbox=None,
+        slices=[
+            SliceReport(
+                slice_index=tumor_map.slice_index,
+                tumor_pixels=tumor_map.pixel_count,
+                used_class=tumor_map.used_class,
+                degenerate_segmentation=degenerate,
+                empty=tumor_map.is_empty,
+                quadrants_marked=marks,
+                fit=fit,
+            )
+            for tumor_map, marks, (degenerate, fit) in zip(maps, fusion.marks, fits)
+        ],
+        votes=fusion.votes,
+        winners=fusion.winners,
+        fallback_used=fusion.fallback_used,
+        bbox=bbox,
         timings_ms=timings,
     )
-    try:
-        fusion = timed("fuse", fuse_maps, maps, params)
-        report.winners, report.fallback_used = fusion.winners, fusion.fallback_used
-        report.bbox = timed("bounding_box", bounding_box, fusion.fused, params.bbox_margin)
-    except NoTumorDetectedError as exc:
-        # no winning quadrant in strict mode, or an empty fused map
-        raise NoTumorDetectedError(str(exc), report=report) from exc
-    return PipelineResult(bbox=report.bbox, report=report)
+    if bbox is None:
+        raise NoTumorDetectedError(f"fused tumor map is empty (votes {fusion.votes})", report=report)
+    return PipelineResult(bbox=bbox, report=report)
 
 
 def select_representatives(

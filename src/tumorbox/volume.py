@@ -96,14 +96,6 @@ class Slice:
         if self.index < 0:
             raise ValidationError(f"slice index must be >= 0, got {self.index}")
 
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
 
 def extract_slice(volume: Volume, index: int) -> Slice:
     """Return the axial plane at 1-based ``index`` as an independent copy.

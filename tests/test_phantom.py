@@ -88,12 +88,12 @@ def test_background_exactly_zero():
 
 def test_blob_outside_brain_rejected():
     with pytest.raises(ValidationError):
-        small_spec(tumor_center=(36.0, 20.0, 12.0)).validate()
+        small_spec(tumor_center=(36.0, 20.0, 12.0))
 
 
 def test_negative_sigma_rejected():
     with pytest.raises(ValidationError):
-        small_spec(noise_sigma=-0.1).validate()
+        small_spec(noise_sigma=-0.1)
 
 
 def test_spec_json_round_trip(tmp_path):

@@ -13,6 +13,7 @@ from tumorbox.errors import (
     NoTumorDetectedError,
     ValidationError,
 )
+from tumorbox import pipeline
 from tumorbox.pipeline import (
     BBox,
     ExtractParams,
@@ -20,7 +21,6 @@ from tumorbox.pipeline import (
     bounding_box,
     extract_tumor_map,
     fuse_maps,
-    quadrant_votes,
     run_pipeline,
     select_representatives,
 )
@@ -89,7 +89,7 @@ class TestExtractTumorMap:
 class TestQuadrantVotes:
     def test_all_empty(self):
         maps = [tumor_map_from(np.zeros((10, 10)), i) for i in range(6)]
-        assert quadrant_votes(maps) == (0, 0, 0, 0)
+        assert fuse_maps(maps).votes == (0, 0, 0, 0)
 
     def test_exactly_three_maps_mark_quadrant_two(self):
         maps = []
@@ -98,7 +98,7 @@ class TestQuadrantVotes:
             if i < 3:
                 mask[1, 8] = True  # rows < 5, cols >= 5: quadrant 2
             maps.append(tumor_map_from(mask, i))
-        votes = quadrant_votes(maps)
+        votes = fuse_maps(maps).votes
         assert votes == (0, 3, 0, 0)
         # independent counting loop
         count = 0
@@ -118,7 +118,7 @@ class TestQuadrantVotes:
             if i < 4:
                 mask[8:11, 2:10] = True  # spans quadrants 3 and 4
             maps.append(tumor_map_from(mask, i))
-        votes = quadrant_votes(maps)
+        votes = fuse_maps(maps).votes
         assert votes[2] >= 2 and votes[3] >= 2
         assert votes[0] == 0 and votes[1] == 0
 
@@ -126,24 +126,24 @@ class TestQuadrantVotes:
         # 5x5: rows 0..2 are "top", cols 0..2 are "left"
         mask = np.zeros((5, 5), dtype=bool)
         mask[2, 2] = True
-        votes = quadrant_votes([tumor_map_from(mask)])
+        votes = fuse_maps([tumor_map_from(mask)]).votes
         assert votes == (1, 0, 0, 0)
 
     def test_votes_monotone_in_added_pixels(self):
         rng = np.random.default_rng(77)
         base = [tumor_map_from(rng.random((8, 8)) < 0.1, i) for i in range(6)]
-        votes_before = quadrant_votes(base)
+        votes_before = fuse_maps(base).votes
         grown = []
         for m in base:
             mask = m.mask.copy()
             mask[rng.integers(0, 8), rng.integers(0, 8)] = True
             grown.append(tumor_map_from(mask, m.slice_index))
-        votes_after = quadrant_votes(grown)
+        votes_after = fuse_maps(grown).votes
         assert all(a >= b for a, b in zip(votes_after, votes_before))
 
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError):
-            quadrant_votes([tumor_map_from(np.zeros((4, 4))), tumor_map_from(np.zeros((5, 5)))])
+            fuse_maps([tumor_map_from(np.zeros((4, 4))), tumor_map_from(np.zeros((5, 5)))])
 
 
 class TestFuseMaps:
@@ -163,11 +163,27 @@ class TestFuseMaps:
         assert fused.fallback_used
         assert np.array_equal(fused.fused.mask, lone)
 
-    def test_strict_mode_raises_on_no_winner(self):
+    def test_strict_mode_raises_on_no_winner(self, caplog):
+        # strict keeps nothing when no quadrant wins; the box step then raises
         maps = [tumor_map_from(np.zeros((10, 10)), i) for i in range(6)]
         maps[0] = tumor_map_from(blob_mask((10, 10), 1, 8, 1), 0)
+        fused = fuse_maps(maps, ExtractParams(strict=True))
+        assert fused.fused.is_empty
+        assert fused.votes == (0, 1, 0, 0)
+        assert fused.winners == ()
+        assert not fused.fallback_used
+        assert "vote threshold 2 (votes (0, 1, 0, 0))" in caplog.text
+        assert "falling back" not in caplog.text
         with pytest.raises(NoTumorDetectedError):
-            fuse_maps(maps, ExtractParams(strict=True))
+            bounding_box(fused.fused)
+
+    def test_marks_are_per_map_and_sum_to_votes(self):
+        rng = np.random.default_rng(78)
+        maps = [tumor_map_from(rng.random((9, 7)) < 0.05, i) for i in range(6)]
+        params = ExtractParams(min_quadrant_pixels=2)
+        fused = fuse_maps(maps, params)
+        assert fused.marks == tuple(pipeline.quadrant_marks(m, 2) for m in maps)
+        assert fused.votes == tuple(int(v) for v in np.sum(fused.marks, axis=0))
 
     def test_spurious_lone_detection_excluded(self):
         # detections concentrated in the bottom quadrants plus one spurious
@@ -281,6 +297,31 @@ class TestRunPipeline:
         assert report.fallback_used is False
         assert report.bbox is None
         assert loose.fallback_used is True
+
+    def test_strict_no_winner_times_fuse_and_names_votes(self, phantom_cases, phantom_atlases):
+        spec, vol, gt = phantom_cases[0]
+        params = ExtractParams(
+            representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0, vote_threshold=7, strict=True
+        )
+        with pytest.raises(NoTumorDetectedError) as err:
+            run_pipeline(vol, phantom_atlases, method="kmeans", params=params)
+        report = err.value.report
+        assert "fuse" in report.timings_ms
+        assert str(err.value) == f"fused tumor map is empty (votes {report.votes})"
+
+    def test_quadrant_marks_once_per_slice(self, phantom_cases, phantom_atlases, monkeypatch):
+        calls = []
+        real = pipeline.quadrant_marks
+
+        def spy(tumor_map, min_pixels=1):
+            calls.append(tumor_map.slice_index)
+            return real(tumor_map, min_pixels)
+
+        monkeypatch.setattr(pipeline, "quadrant_marks", spy)
+        spec, vol, gt = phantom_cases[0]
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        run_pipeline(vol, phantom_atlases, method="kmeans", params=params)
+        assert sorted(calls) == sorted(PHANTOM_REP_SLICES)
 
     def test_deterministic_bbox_and_report(self, phantom_cases, phantom_atlases):
         spec, vol, gt = phantom_cases[1]
