@@ -27,6 +27,7 @@ from .errors import (
 )
 from .evaluate import (
     evaluate_manifest,
+    log_unconverged,
     read_manifest,
     representative_gt_slices,
 )
@@ -155,6 +156,7 @@ def cmd_extract(args) -> int:
         bbox, report, failure = result.bbox, result.report, None
     except NoTumorDetectedError as exc:
         bbox, report, failure = None, exc.report, exc
+    log_unconverged(report, args.volume, cfg.cluster.max_iter)
 
     if args.report:
         _write_json(args.report, report.to_dict())

@@ -1,11 +1,14 @@
 """Connected-component labeling on binary masks.
 
-Run-based labeling (He, Chao & Suzuki 2008): the horizontal runs of each row
-are found with numpy, and union-find merges runs that touch a run in the row
-above, so the merge loop goes over runs rather than pixels. Supports 4- and
-8-connectivity. Components come back sorted largest first.
+Run-based labeling (He, Chao & Suzuki 2008): one numpy pass finds the
+horizontal runs of every row, and the runs that touch a run in the row above
+are merged by array-wide hooking and pointer jumping (Shiloach & Vishkin
+1982), so no Python loop goes over runs or pixels. Supports 4- and
+8-connectivity. Components come back sorted largest first, as a sequence
+that builds each `Component` only when it is read.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +40,14 @@ class Component:
 def _row_runs(mask: np.ndarray):
     """Horizontal runs of set pixels in row-major order: (row, start, stop)."""
     height, width = mask.shape
-    padded = np.zeros((height, width + 2), dtype=np.int8)
+    stride = width + 2
+    padded = np.zeros((height, stride), dtype=bool)
     padded[:, 1:-1] = mask
-    edges = np.diff(padded, axis=1)
-    rows, starts = np.nonzero(edges == 1)
-    _, stops = np.nonzero(edges == -1)
-    return rows, starts, stops
+    # The zero border closes every run inside its row, so the transitions of
+    # the flattened mask come in (start, stop) pairs.
+    edges = np.flatnonzero(np.diff(padded.ravel()))
+    rows = edges[0::2] // stride
+    return rows, edges[0::2] - rows * stride, edges[1::2] - rows * stride
 
 
 def _ranges(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -51,9 +56,9 @@ def _ranges(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _run_roots(rows, starts, stops, reach: int, width: int) -> np.ndarray:
-    """Union-find over runs: a run joins every run in the row above that
-    overlaps it once widened by ``reach`` columns. Each run's root is the
-    first run of its component in scan order."""
+    """Each run's root, the first run of its component in scan order: a run
+    joins every run in the row above that overlaps it once widened by
+    ``reach`` columns."""
     # Runs sorted by (row, column) keys; the runs of row r-1 touching run
     # [start, stop) of row r are one contiguous index range.
     stride = width + 2
@@ -66,29 +71,42 @@ def _run_roots(rows, starts, stops, reach: int, width: int) -> np.ndarray:
     lower = np.repeat(np.arange(rows.size), n_links)
     upper = _ranges(lo, n_links)
 
-    parent = list(range(rows.size))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in zip(upper.tolist(), lower.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # keep the smaller root so roots stay in scan order
-            parent[max(ra, rb)] = min(ra, rb)
-    # Every parent index is at most its own, so pointer jumping ends at roots.
-    roots = np.array(parent, dtype=np.intp)
-    while True:
-        jumped = roots[roots]
-        if np.array_equal(jumped, roots):
-            return roots
-        roots = jumped
+    # Every label is at most its own index. Each round hooks the larger root
+    # of every unmerged link onto the smaller, then jumps pointers until each
+    # label is a root; a component's root is thus its smallest run.
+    roots = np.arange(rows.size)
+    while upper.size:
+        a, b = roots[upper], roots[lower]
+        np.minimum.at(roots, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = roots[roots]
+            if np.array_equal(jumped, roots):
+                break
+            roots = jumped
+        apart = roots[upper] != roots[lower]
+        upper, lower = upper[apart], lower[apart]
+    return roots
 
 
-def connected_components(mask, connectivity: int = 8) -> list[Component]:
+class Components(Sequence):
+    """Components largest first, held as arrays; ``[i]`` builds the i-th."""
+
+    def __init__(self, pixels, bounds, centroids, order):
+        self._pixels = pixels  # every component's pixels, one after another
+        self._bounds = bounds  # component c owns pixels[bounds[c]:bounds[c + 1]]
+        self._centroids = centroids  # (n, 2) float64
+        self._order = order  # component ids by area descending
+
+    def __len__(self) -> int:
+        return self._order.size
+
+    def __getitem__(self, i: int) -> Component:
+        c = self._order[i]
+        pixels = self._pixels[self._bounds[c]:self._bounds[c + 1]]
+        return Component(pixels=pixels, centroid=tuple(self._centroids[c].tolist()))
+
+
+def connected_components(mask, connectivity: int = 8) -> Sequence[Component]:
     """Partition the set pixels of ``mask`` into maximal connected groups.
 
     Returns components sorted by area descending, ties broken by the smaller
@@ -106,23 +124,23 @@ def connected_components(mask, connectivity: int = 8) -> list[Component]:
         return []
     roots = _run_roots(rows, starts, stops, 1 if connectivity == 8 else 0, mask.shape[1])
     # Roots are first runs, so component ids follow the anchors' scan order.
-    _, comp = np.unique(roots, return_inverse=True)
+    comp = (np.cumsum(roots == np.arange(rows.size)) - 1)[roots]
     lengths = stops - starts
 
-    # Every pixel of every run, in row-major order; a stable sort by
-    # component keeps that order within each component.
-    run_of = np.repeat(np.arange(rows.size), lengths)
-    pixels = np.stack([rows[run_of], _ranges(starts, lengths)], axis=1).astype(np.int64)
-    pixels = pixels[np.argsort(comp[run_of], kind="stable")]
+    # A stable sort of the runs by component keeps them in scan order, so
+    # each component's pixels come out row-major.
+    by_comp = np.argsort(comp, kind="stable")
+    run_rows, run_starts, run_lengths = rows[by_comp], starts[by_comp], lengths[by_comp]
+    pixels = np.stack([np.repeat(run_rows, run_lengths), _ranges(run_starts, run_lengths)], axis=1)
 
     # Coordinate sums are integers, exact in float64, so the centroids equal
     # the per-component pixel means.
     areas = np.bincount(comp, weights=lengths).astype(np.int64)
     row_sums = np.bincount(comp, weights=rows * lengths)
     col_sums = np.bincount(comp, weights=(starts + stops - 1) * lengths // 2)
-    bounds = np.concatenate([[0], np.cumsum(areas)]).tolist()
-    centroids = list(zip((row_sums / areas).tolist(), (col_sums / areas).tolist()))
-    return [
-        Component(pixels=pixels[bounds[c]:bounds[c + 1]], centroid=centroids[c])
-        for c in np.argsort(-areas, kind="stable").tolist()
-    ]
+    return Components(
+        pixels=pixels.astype(np.int64),
+        bounds=np.concatenate([[0], np.cumsum(areas)]),
+        centroids=np.stack([row_sums, col_sums], axis=1) / areas[:, None],
+        order=np.argsort(-areas, kind="stable"),
+    )

@@ -155,10 +155,18 @@ class CohortResult:
             "n_failed": self.n_failed,
             "n_errors": len(self.errors),
             "n_fallback": sum(r.fallback_used for r in reports),
-            "n_unconverged": sum(
-                s.fit.get("converged") is False for r in reports for s in r.slices if s.fit
-            ),
+            "n_unconverged": sum(len(r.unconverged_slices()) for r in reports),
         }
+
+
+def log_unconverged(report: PipelineReport | None, case: str, max_iter: int) -> None:
+    """One WARNING per case naming the slices whose EM fit hit max_iter."""
+    slices = report.unconverged_slices() if report else []
+    if slices:
+        log.warning(
+            "case %s: EM stopped at max_iter=%d without converging on slice(s) %s",
+            case, max_iter, ", ".join(map(str, slices)),
+        )
 
 
 def evaluate_case(
@@ -190,6 +198,7 @@ def evaluate_case(
         bbox, report = result.bbox, result.report
     except NoTumorDetectedError as exc:
         bbox, report = None, exc.report
+    log_unconverged(report, case_id, cfg.cluster.max_iter)
     return CaseResult(
         case_id=case_id,
         cohort=cohort,

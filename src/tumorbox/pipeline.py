@@ -336,6 +336,10 @@ class PipelineReport:
             "timings_ms": {k: round(v, 3) for k, v in self.timings_ms.items()},
         }
 
+    def unconverged_slices(self) -> list[int]:
+        """Slices whose EM fit stopped at max_iter without converging."""
+        return [s.slice_index for s in self.slices if s.fit and s.fit.get("converged") is False]
+
 
 @dataclass
 class PipelineResult:
@@ -378,9 +382,10 @@ def run_pipeline(
 
     def timed(stage, fn, *args, **kwargs):
         start = time.perf_counter()
-        out = fn(*args, **kwargs)
-        timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - start) * 1000
-        return out
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - start) * 1000
 
     maps: list[TumorMap] = []
     fits: list[tuple[bool, dict | None]] = []  # (degenerate, fit) per slice

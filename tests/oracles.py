@@ -134,6 +134,60 @@ def flood_fill_components(mask: np.ndarray, connectivity: int) -> set[frozenset]
     return groups
 
 
+def row_runs_loop(mask: np.ndarray):
+    """(rows, starts, stops) of the horizontal runs of set pixels, row by row."""
+    runs = []
+    for i in range(mask.shape[0]):
+        j = 0
+        while j < mask.shape[1]:
+            if mask[i, j]:
+                start = j
+                while j < mask.shape[1] and mask[i, j]:
+                    j += 1
+                runs.append((i, start, j))
+            else:
+                j += 1
+    return tuple(np.array([run[n] for run in runs], dtype=np.intp) for n in range(3))
+
+
+def run_roots_reference(rows, starts, stops, reach: int, width: int) -> np.ndarray:
+    """Union-find over runs, one link at a time: a run joins every run in the
+    row above that overlaps it once widened by ``reach`` columns. Each run's
+    root is the first run of its component in scan order."""
+    # Runs sorted by (row, column) keys; the runs of row r-1 touching run
+    # [start, stop) of row r are one contiguous index range.
+    stride = width + 2
+    start_keys = rows * stride + starts
+    stop_keys = rows * stride + stops
+    above = (rows - 1) * stride
+    lo = np.searchsorted(stop_keys, above + starts - reach, side="right")
+    hi = np.searchsorted(start_keys, above + stops + reach, side="left")
+    n_links = np.maximum(hi - lo, 0)
+    lower = np.repeat(np.arange(rows.size), n_links)
+    upper = np.arange(n_links.sum()) + np.repeat(lo - (np.cumsum(n_links) - n_links), n_links)
+
+    parent = list(range(rows.size))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in zip(upper.tolist(), lower.tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            # keep the smaller root so roots stay in scan order
+            parent[max(ra, rb)] = min(ra, rb)
+    # Every parent index is at most its own, so pointer jumping ends at roots.
+    roots = np.array(parent, dtype=np.intp)
+    while True:
+        jumped = roots[roots]
+        if np.array_equal(jumped, roots):
+            return roots
+        roots = jumped
+
+
 def bbox_scan(mask: np.ndarray):
     """(row_min, col_min, row_max, col_max) by exhaustive scan, or None."""
     coords = [(i, j) for i in range(mask.shape[0]) for j in range(mask.shape[1]) if mask[i, j]]

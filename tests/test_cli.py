@@ -407,6 +407,27 @@ class TestExtract:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["bbox"] is not None
 
+    def test_unconverged_em_warns_once_naming_volume_and_slices(
+        self, phantom_dir, atlas_dir, tmp_path, capsys, caplog
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"method": "em", "cluster": {"max_iter": 2}}))
+        volume = phantom_dir / "phantom_000_flair.mha"
+        with caplog.at_level("WARNING"):
+            code = run([
+                "extract",
+                "--volume", str(volume),
+                "--atlas-dir", str(atlas_dir),
+                "--slices", SMALL_SLICES,
+                "--config", str(cfg),
+            ])
+        assert code == 0
+        messages = [rec.getMessage() for rec in caplog.records if rec.name == "tumorbox.evaluate"]
+        assert messages == [
+            f"case {volume}: EM stopped at max_iter=2 without converging on slice(s) "
+            + ", ".join(map(str, SLICE_INDICES))
+        ]
+
     def test_corrupt_volume_is_io_error(self, tmp_path, atlas_dir):
         bad = tmp_path / "bad.mha"
         bad.write_bytes(b"ObjectType = Image\nNDims = 3\nElementDataFile = LOCAL\n")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import flood_fill_components
+from oracles import flood_fill_components, row_runs_loop, run_roots_reference
 
-from tumorbox.components import connected_components
+from tumorbox.components import _row_runs, _run_roots, connected_components
 from tumorbox.errors import ValidationError
 
 
@@ -142,3 +143,66 @@ def test_matches_scipy_label_on_240_masks(connectivity):
             # same pixels, in row-major scan order
             assert np.array_equal(c.pixels, pixels)
 
+
+
+def serpentine_mask(size: int) -> np.ndarray:
+    """One snake of rows joined alternately at the right and left ends."""
+    mask = np.zeros((size, size), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+def comb_mask(size: int) -> np.ndarray:
+    """One-pixel teeth that meet only in the last row."""
+    mask = np.zeros((size, size), dtype=bool)
+    mask[:, ::2] = True
+    mask[-1] = True
+    return mask
+
+
+def staircase_mask(size: int, down_left: bool) -> np.ndarray:
+    """A one-pixel diagonal: one component at 8-connectivity, single pixels
+    at 4-connectivity."""
+    mask = np.eye(size, dtype=bool)
+    return mask[:, ::-1] if down_left else mask
+
+
+def assert_runs_and_roots_match_reference(mask):
+    runs = _row_runs(mask)
+    for got, want in zip(runs, row_runs_loop(mask)):
+        assert np.array_equal(got, want)
+    for reach in (0, 1):
+        assert np.array_equal(
+            _run_roots(*runs, reach, mask.shape[1]),
+            run_roots_reference(*runs, reach, mask.shape[1]),
+        )
+
+
+@st.composite
+def random_masks(draw):
+    height, width = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    density = draw(st.floats(0.05, 0.9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((height, width)) < density
+
+
+class TestRunRootsMatchUnionFind:
+    @settings(max_examples=200, deadline=None)
+    @given(random_masks())
+    def test_random_masks(self, mask):
+        assert_runs_and_roots_match_reference(mask)
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            serpentine_mask(63),
+            comb_mask(64),
+            staircase_mask(64, down_left=False),
+            staircase_mask(64, down_left=True),
+        ],
+        ids=["serpentine", "comb", "staircase", "staircase-down-left"],
+    )
+    def test_shaped_masks(self, mask):
+        assert_runs_and_roots_match_reference(mask)

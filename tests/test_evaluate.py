@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,24 @@ class TestEvaluateCase:
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES)
         result = evaluate_case(vol, gt, phantom_atlases, RunConfig(extract=params))
         assert result.dice == 1.0
+
+    def test_unconverged_em_warns_once_naming_case_and_slices(self, phantom_cases, phantom_atlases, caplog):
+        spec, vol, gt = phantom_cases[0]
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        cfg = RunConfig(method="em", extract=params, cluster=ClusterConfig(max_iter=2))
+        with caplog.at_level(logging.WARNING):
+            result = evaluate_case(vol, gt, phantom_atlases, cfg, case_id="phantom_000")
+        by_logger = {}
+        for rec in caplog.records:
+            by_logger.setdefault(rec.name, []).append(rec.getMessage())
+        unconverged = result.report.unconverged_slices()
+        assert unconverged == list(PHANTOM_REP_SLICES)
+        assert by_logger["tumorbox.evaluate"] == [
+            "case phantom_000: EM stopped at max_iter=2 without converging on slice(s) "
+            + ", ".join(map(str, unconverged))
+        ]
+        # the per-slice warnings of segment_slice stay
+        assert len(by_logger["tumorbox.clustering"]) == len(unconverged)
 
     def test_failed_detection_scores_zero_with_flag(self, phantom_cases, phantom_atlases):
         spec, _, gt = phantom_cases[0]

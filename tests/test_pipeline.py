@@ -7,7 +7,9 @@ import pytest
 from oracles import bbox_scan
 from conftest import PHANTOM_REP_SLICES
 
+from tumorbox import components
 from tumorbox.clustering import LabelMap
+from tumorbox.components import connected_components
 from tumorbox.errors import (
     ConfigurationError,
     NoTumorDetectedError,
@@ -79,6 +81,38 @@ class TestExtractTumorMap:
         lm = label_map_from(labels)
         out = extract_tumor_map(lm, ExtractParams(area_min=5))
         assert out.is_empty
+
+    def test_builds_only_the_component_it_reads(self, monkeypatch):
+        # 240x240 slice: ~1,500 one-pixel class-5 specks and a class-4 disk
+        labels = np.ones((240, 240), dtype=np.int32)
+        rr, cc = np.ogrid[:240, :240]
+        specks = np.zeros((240, 240), dtype=bool)
+        specks[1::6, 1::6] = True
+        specks &= (np.abs(rr - 120) > 30) | (np.abs(cc - 120) > 30)
+        labels[specks] = 5
+        labels[(rr - 120) ** 2 + (cc - 120) ** 2 <= 20**2] = 4
+        assert specks.sum() >= 1000
+        lm = label_map_from(labels, index=50)
+        params = ExtractParams()
+
+        built = []
+
+        class CountingComponent(components.Component):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(components, "Component", CountingComponent)
+        out = extract_tumor_map(lm, params)
+        assert out.used_class == 4
+        assert len(built) <= 2  # one per class tried
+
+        largest = list(connected_components(labels == 4, connectivity=8))[0]
+        expected = pipeline._disk_mask(
+            labels.shape, largest.centroid, params.radius_margin * math.sqrt(largest.area / math.pi)
+        )
+        expected[largest.pixels[:, 0], largest.pixels[:, 1]] = True
+        assert np.array_equal(out.mask, expected)
 
     def test_requires_five_classes(self):
         lm = LabelMap(labels=np.zeros((4, 4), dtype=np.int32), k=3)
@@ -307,6 +341,7 @@ class TestRunPipeline:
             run_pipeline(vol, phantom_atlases, method="kmeans", params=params)
         report = err.value.report
         assert "fuse" in report.timings_ms
+        assert "bounding_box" in report.timings_ms
         assert str(err.value) == f"fused tumor map is empty (votes {report.votes})"
 
     def test_quadrant_marks_once_per_slice(self, phantom_cases, phantom_atlases, monkeypatch):
