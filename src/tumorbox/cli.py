@@ -212,6 +212,8 @@ def cmd_eval(args) -> int:
 
 def cmd_phantom(args) -> int:
     cfg = _resolve_config(args)
+    if args.count < 1:
+        raise ConfigurationError(f"--count must be >= 1, got {args.count}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base_spec = load_phantom_spec(args.spec) if args.spec else None

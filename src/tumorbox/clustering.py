@@ -1,18 +1,20 @@
 """1-D intensity clustering: Lloyd K-means and Gaussian-mixture EM.
 
-Each fit starts from a histogram of its pixels: the sorted distinct values,
-the pixel-to-value index and prefix sums of count, (x - mean)*count and
-(x - mean)^2*count, built once per fit and shared by all restarts. Restart starts
-are read off it (quantile spread from the cumulative counts, random starts
-as drawn pixels). K-means runs on it: 1-D nearest-center cells are
-intervals, so a Lloyd step is a few binary-search cuts, and each cluster's
-size, mean and sum of squares are prefix-sum differences, O(k log m) per
-iteration for m distinct values. EM fits a Gaussian mixture to the pixel
-intensities with posteriors held as (k, n), so each step is one small matrix
-product on the design [1, x, x^2]; the winner's posteriors are returned per
-pixel and hard-assigned downstream. ``segment_slice`` turns either result
-into a label map whose classes are ranked by mean intensity, so for k=5 the
-brightest class is label 5.
+Each fit starts from one histogram of its pixels: the sorted distinct values,
+their counts, the pixel-to-value index and prefix sums of count,
+(x - mean)*count and (x - mean)^2*count, built once per fit and shared by
+all restarts and, for EM, by the K-means warm start. Restart starts are read
+off it (quantile spread from the cumulative counts, random starts as drawn
+pixels). K-means runs on it: 1-D nearest-center cells are intervals, so a
+Lloyd step is a few binary-search cuts, and each cluster's size, mean and
+sum of squares are prefix-sum differences, O(k log m) per iteration for m
+distinct values. EM fits a Gaussian mixture to the distinct values weighted
+by their counts (exact grouped-data EM): posteriors are (k, m), and each
+step is one small matrix product on the design [1, x, x^2]. Only the
+winner's posteriors are expanded to the pixels and hard-assigned
+downstream. ``segment_slice`` turns either result into a label map whose
+classes are ranked by mean intensity, so for k=5 the brightest class is
+label 5.
 """
 
 import logging
@@ -71,7 +73,6 @@ class ClusterConfig:
 class GmmModel:
     """Fitted 1-D Gaussian mixture. Components are in fit order, not sorted."""
 
-    k: int
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
@@ -126,6 +127,7 @@ class _Histogram(NamedTuple):
     """
 
     distinct: np.ndarray  # sorted distinct values
+    counts: np.ndarray  # pixels per distinct value
     inverse: np.ndarray  # pixel -> index into distinct
     xs: list  # distinct as Python floats
     shift: float
@@ -134,13 +136,17 @@ class _Histogram(NamedTuple):
     cum_xx: list  # same for (x - shift)^2 * count
 
 
-def _histogram(values: np.ndarray) -> _Histogram:
+def _histogram(values) -> _Histogram:
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    if values.size == 0:
+        raise ValidationError("clustering needs at least one value")
     distinct, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     shift = float(distinct @ counts / values.size)
     centered = distinct - shift
     mass = centered * counts
     return _Histogram(
         distinct,
+        counts,
         inverse,
         distinct.tolist(),
         shift,
@@ -287,14 +293,10 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
     result at a cost per iteration that grows with the log of the number of
     distinct values. With fewer distinct values than k the distinct values
     become centroids, the remainder are duplicates, and the result is
-    flagged degenerate.
+    flagged degenerate. ``values`` may also be a ready ``_Histogram``.
     """
     cfg = cfg or ClusterConfig()
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if values.size == 0:
-        raise ValidationError("kmeans_1d needs at least one value")
-
-    hist = _histogram(values)
+    hist = values if isinstance(values, _Histogram) else _histogram(values)
     distinct = hist.distinct
     if distinct.size < cfg.k:
         centroids = np.concatenate(
@@ -326,43 +328,38 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
     )
 
 
-def _e_step(design, weights, means, variances):
-    """Log-likelihood and the (k, n) posteriors. Row j of ``coef @ design``
-    is log(w_j * N(x | mu_j, var_j)) on the design rows [1, x, x^2]; with
-    components along rows the per-pixel max and sum are k elementwise passes."""
-    inv2 = -0.5 / variances
-    const = means * means * inv2 - 0.5 * np.log(2.0 * np.pi * variances) + np.log(weights)
-    logp = np.column_stack((const, -2.0 * means * inv2, inv2)) @ design
-    top = logp.max(axis=0)
-    logp -= top
-    np.exp(logp, out=logp)
-    denom = logp.sum(axis=0)
-    ll = float((top + np.log(denom)).sum())
-    logp /= denom
-    return ll, logp
-
-
-def _em_run(design: np.ndarray, weights0, means0, variances0, max_iter: int, tol: float):
-    """One EM run on the (3, n) design [1, x, x^2] from the given start;
-    posteriors are (k, n). The start arrays are only read, so runs may
-    share them."""
-    n = design.shape[1]
+def _em_run(design: np.ndarray, counts: np.ndarray, weights0, means0, variances0, max_iter: int, tol: float):
+    """One EM run on the (3, m) design [1, x, x^2] of the distinct values,
+    each weighted by its pixel count, from the given start; posteriors are
+    (k, m). The start arrays are only read, so runs may share them."""
+    n = counts.sum()
+    weighted = design * counts
     weights, means = weights0, means0
     variances = np.maximum(variances0, VARIANCE_FLOOR)
 
     trace: list[float] = []
-    converged = False
-    ll = -np.inf
-    for _ in range(max_iter):
-        ll_new, posteriors = _e_step(design, weights, means, variances)
-        trace.append(ll_new)
-        if np.isfinite(ll) and abs(ll_new - ll) <= tol * max(1.0, abs(ll)):
-            ll = ll_new
-            converged = True
+    for it in range(max_iter + 1):
+        # E-step: row j of ``coef @ design`` is log(w_j * N(x | mu_j, var_j));
+        # with components along rows the per-value max and sum are k
+        # elementwise passes.
+        inv2 = -0.5 / variances
+        const = means * means * inv2 - 0.5 * np.log(2.0 * np.pi * variances) + np.log(weights)
+        posteriors = np.column_stack((const, -2.0 * means * inv2, inv2)) @ design
+        top = posteriors.max(axis=0)
+        posteriors -= top
+        np.exp(posteriors, out=posteriors)
+        denom = posteriors.sum(axis=0)
+        posteriors /= denom
+        ll = float(counts @ (top + np.log(denom)))
+        prev = trace[-1] if trace else -np.inf
+        trace.append(ll)
+        # After max_iter M-steps the last E-step only syncs the posteriors
+        # with the final parameters; it does not count as convergence.
+        converged = it < max_iter and np.isfinite(prev) and abs(ll - prev) <= tol * max(1.0, abs(prev))
+        if converged or it == max_iter:
             break
-        ll = ll_new
-        # M-step: per-component sums of r, r*x and r*x^2 in one product.
-        resp_sums, first, second = (posteriors @ design.T).T
+        # M-step: per-component weighted sums of r, r*x and r*x^2 in one product.
+        resp_sums, first, second = (posteriors @ weighted.T).T
         safe = np.maximum(resp_sums, 1e-12)
         weights = resp_sums / n
         new_means = first / safe
@@ -370,20 +367,9 @@ def _em_run(design: np.ndarray, weights0, means0, variances0, max_iter: int, tol
         means = np.where(resp_sums > 1e-12, new_means, means)
         variances = np.where(resp_sums > 1e-12, new_vars, variances)
         variances = np.maximum(variances, VARIANCE_FLOOR)
-    else:
-        # Ran out of iterations after an M-step: sync posteriors with the
-        # final parameters so the returned pieces are mutually consistent.
-        ll, posteriors = _e_step(design, weights, means, variances)
-        trace.append(ll)
 
-    model = GmmModel(
-        k=means.size,
-        weights=weights,
-        means=means,
-        variances=variances,
-        log_likelihood=ll,
-    )
-    return model, posteriors, trace, converged
+    model = GmmModel(weights=weights, means=means, variances=variances, log_likelihood=ll)
+    return model, posteriors, trace, bool(converged)
 
 
 def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
@@ -392,14 +378,16 @@ def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
     Runs whose final log-likelihoods agree within ``LL_TIE_RTOL`` are tied
     and the earlier one wins: the K-means warm start (restart -1), then
     restarts 0, 1, ... The log-likelihood is non-decreasing over iterations
-    (up to a variance floor that in practice never binds on continuous
-    data); posterior rows always sum to one. Every k, k=1 included, goes
-    through the same runs.
+    (up to the variance floor, which binds when a component collapses onto
+    one repeated value, such as enhanced intensities clipped at 1.0);
+    posterior rows always sum to one. Every k, k=1 included, goes
+    through the same runs, all on one histogram of the values: EM over the
+    distinct values weighted by their counts is EM over the pixels.
     """
     cfg = cfg or ClusterConfig()
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if values.size == 0:
-        raise ValidationError("em_gmm_1d needs at least one value")
+    hist = _histogram(values)
+    distinct, counts = hist.distinct, hist.counts
+    n = hist.cum_n[-1]
 
     # Warm start from the K-means partition under the same config. Quantile
     # or random means routinely merge a small far-out intensity mode (e.g. a
@@ -407,20 +395,21 @@ def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
     # afterwards; seeding means, weights and variances per K-means cluster
     # avoids that local optimum. Counted as restart -1; best likelihood
     # still decides.
-    km = kmeans_1d(values, cfg)
-    assign = km.assignment
-    safe = np.maximum(np.bincount(assign, minlength=cfg.k).astype(np.float64), 1.0)
-    km_weights = safe / float(values.size)
-    km_vars = np.bincount(assign, weights=(values - km.centroids[assign]) ** 2, minlength=cfg.k) / safe
+    km = kmeans_1d(hist, cfg)
+    assign = np.empty(distinct.size, dtype=np.intp)  # cluster of each distinct value
+    assign[hist.inverse] = km.assignment
+    safe = np.maximum(np.bincount(assign, weights=counts, minlength=cfg.k), 1.0)
+    km_weights = safe / n
+    km_vars = np.bincount(assign, weights=counts * (distinct - km.centroids[assign]) ** 2, minlength=cfg.k) / safe
     flat = np.full(cfg.k, 1.0 / cfg.k)
-    spread = np.full(cfg.k, np.var(values))
+    spread = np.full(cfg.k, hist.cum_xx[-1] / n)
     starts = [(-1, km_weights / km_weights.sum(), km.centroids, km_vars)]
-    starts += [(restart, flat, means0, spread) for restart, means0 in _starts(_histogram(values), cfg)]
+    starts += [(restart, flat, means0, spread) for restart, means0 in _starts(hist, cfg)]
 
-    design = np.stack((np.ones_like(values), values, values * values))
+    design = np.stack((np.ones_like(distinct), distinct, distinct * distinct))
     best: EmResult | None = None
     for restart, weights0, means0, variances0 in starts:
-        model, posteriors, trace, converged = _em_run(design, weights0, means0, variances0, cfg.max_iter, cfg.tol)
+        model, posteriors, trace, converged = _em_run(design, counts, weights0, means0, variances0, cfg.max_iter, cfg.tol)
         ll = model.log_likelihood
         if best is None or ll - best.model.log_likelihood > LL_TIE_RTOL * abs(best.model.log_likelihood):
             best = EmResult(
@@ -431,7 +420,7 @@ def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
                 converged=converged,
                 best_restart=restart,
             )
-    best.posteriors = np.ascontiguousarray(best.posteriors.T)
+    best.posteriors = best.posteriors.T[hist.inverse]
     return best
 
 

@@ -445,6 +445,8 @@ def select_representatives(
 
     Ties prefer the smaller index; the result is ascending.
     """
+    if count < 1:
+        raise ValidationError(f"count must be >= 1, got {count}")
     totals: dict[int, int] = {}
     any_volume = False
     for vol in gt_volumes:

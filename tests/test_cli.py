@@ -114,6 +114,13 @@ class TestPhantomCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, count):
+        out = tmp_path / "x"
+        assert run(["phantom", "--out-dir", str(out), "--count", count, *SMALL]) == 2
+        assert not (out / "manifest.csv").exists()
+        assert capsys.readouterr().out == ""
+
     def test_spec_file_fixes_geometry(self, tmp_path):
         from tumorbox.mha import read_mha
         from tumorbox.phantom import PhantomSpec, save_spec
@@ -605,6 +612,12 @@ class TestSelectSlices:
         chosen = json.loads(capsys.readouterr().out)["representative_slices"]
         assert len(chosen) == 3
         assert chosen == sorted(chosen)
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_is_usage_error(self, phantom_dir, capsys, count):
+        code = run(["select-slices", "--manifest", str(phantom_dir / "manifest.csv"), "--count", count])
+        assert code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestConfigPrecedence:

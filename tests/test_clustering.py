@@ -244,7 +244,8 @@ def seeded_mixture(k, seed):
 
 
 class TestEmMatchesReference:
-    """EM on the (3, n) design reproduces the (n, k) per-pixel EM."""
+    """EM on the count-weighted (3, m) design of the distinct values
+    reproduces the (n, k) per-pixel EM."""
 
     @staticmethod
     def assert_matches_reference(values, cfg):
@@ -277,6 +278,27 @@ class TestEmMatchesReference:
     def test_seeded_random_mixtures(self, k):
         for seed in range(3):
             self.assert_matches_reference(seeded_mixture(k, seed), ClusterConfig(k=k, seed=seed, n_restarts=3))
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_rounded_mixtures_with_heavy_repeats(self, k):
+        # On a 1/200 grid a few hundred to a thousand pixels share under 150
+        # values, so most values weigh several pixels and the counts matter.
+        for seed in range(3):
+            values = np.rint(seeded_mixture(k, seed) * 200) / 200
+            assert np.unique(values).size * 3 < values.size
+            self.assert_matches_reference(values, ClusterConfig(k=k, seed=seed, n_restarts=3))
+
+    def test_phantom_slices_on_a_grid(self, phantom_cases, phantom_atlases):
+        # Enhanced intensities rounded to 1/1000, the spacing of integer
+        # data scaled to [0, 1]: about 200 values under 8,700 pixels.
+        from tumorbox.preprocess import enhance_contrast, normalize
+
+        _, vol, _ = phantom_cases[0]
+        for n in PHANTOM_REP_SLICES:
+            data = enhance_contrast(normalize(extract_slice(vol, n)), phantom_atlases[n]).data
+            values = np.rint(data[data > 0] * 1000) / 1000
+            assert np.unique(values).size * 20 < values.size
+            self.assert_matches_reference(values, ClusterConfig())
 
     def test_runs_tied_at_one_optimum_go_to_the_earliest(self):
         # The warm start and all three restarts reach one optimum; their
@@ -342,6 +364,21 @@ class TestEm:
     def test_empty_values_rejected(self):
         with pytest.raises(ValidationError):
             em_gmm_1d([], ClusterConfig(k=2))
+
+    def test_one_fit_builds_one_histogram(self, monkeypatch):
+        # The K-means warm start and the restart starts read the fit's table.
+        import tumorbox.clustering as cl
+
+        built = []
+        real = cl._histogram
+
+        def counted(values):
+            built.append(values)
+            return real(values)
+
+        monkeypatch.setattr(cl, "_histogram", counted)
+        em_gmm_1d(seeded_mixture(3, 0), ClusterConfig(k=3))
+        assert len(built) == 1
 
 
 class TestHardAssign:

@@ -444,6 +444,12 @@ class TestSelectRepresentatives:
         with pytest.raises(ValidationError):
             select_representatives([], count=6)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        vol = Volume(data=np.ones((155, 4, 4), dtype=np.int16), kind="label")
+        with pytest.raises(ValidationError):
+            select_representatives([vol], count=count)
+
 
 class TestExtractParamsValidation:
     def test_bounds(self):
