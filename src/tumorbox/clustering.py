@@ -6,15 +6,20 @@ their counts, the pixel-to-value index and prefix sums of count,
 all restarts and, for EM, by the K-means warm start. Restart starts are read
 off it (quantile spread from the cumulative counts, random starts as drawn
 pixels). K-means runs on it: 1-D nearest-center cells are intervals, so a
-Lloyd step is a few binary-search cuts, and each cluster's size, mean and
-sum of squares are prefix-sum differences, O(k log m) per iteration for m
-distinct values. EM fits a Gaussian mixture to the distinct values weighted
-by their counts (exact grouped-data EM): posteriors are (k, m), and each
-step is one small matrix product on the design [1, x, x^2]. Only the
-winner's posteriors are expanded to the pixels and hard-assigned
-downstream. ``segment_slice`` turns either result into a label map whose
-classes are ranked by mean intensity, so for k=5 the brightest class is
-label 5.
+Lloyd step is k - 1 binary-search cuts and its partition is one state,
+``(owners, bounds)``: the center of each interval in value order and the
+k + 1 cut positions. Each cluster's size, mean and sum of squares are
+prefix-sum differences, O(k log m) per iteration for m distinct values.
+From a partition, an ordinary step depends on its bounds alone, so a
+restart that reaches bounds an earlier restart of the fit passed through,
+and from which that restart converged on the ordinary path alone, stops
+there: it would end with the same objective and lose the tie. EM fits a
+Gaussian mixture to the distinct values weighted by their counts (exact
+grouped-data EM): posteriors are (k, m), and each step is one small matrix
+product on the design [1, x, x^2]. Only the winner's posteriors are
+expanded to the pixels and hard-assigned downstream. ``segment_slice``
+turns either result into a label map whose classes are ranked by mean
+intensity, so for k=5 the brightest class is label 5.
 """
 
 import logging
@@ -38,8 +43,9 @@ METHOD_KMEANS = "kmeans"
 INIT_QUANTILE_SPREAD = "quantile-spread"
 INIT_RANDOM_FROM_DATA = "random-from-data"
 
-# Lower bound on mixture variances (normalised-intensity units squared);
-# keeps components from collapsing onto repeated values.
+# Lower bound on mixture variances (normalised-intensity units squared, so
+# fits expect [0, 1] values); keeps components from collapsing onto repeated
+# values.
 VARIANCE_FLOOR = 1e-6
 
 # EM restarts whose final log-likelihoods differ by no more than this,
@@ -193,31 +199,44 @@ def _starts(hist: _Histogram, cfg: ClusterConfig) -> list[tuple[int, np.ndarray]
     return starts
 
 
-def _assign(distinct, centers):
-    """Nearest center of each sorted distinct value, ``argmin(|x - c|)`` with
-    ties to the lower center index, as runs in value order (a center owns
-    several only on the exact path): lists of run center, start and length.
+def _cuts(distinct, ranked):
+    """Cut positions of the nearest-center intervals of the sorted centers
+    ``ranked`` over the sorted distinct values: k + 1 bounds from 0 to m,
+    an empty interval where two cuts coincide. ``None`` where rounding of
+    ``|x - c|`` can tie two centers (a value within a few ulps of a
+    midpoint, or centers equal or a few ulps apart), so that only the exact
+    comparison decides.
 
     1-D nearest-center cells are the intervals between midpoints of the
-    sorted centers, so the cuts come from binary search. Where rounding of
-    ``|x - c|`` can tie two centers (a value within a few ulps of a midpoint,
-    or centers equal or a few ulps apart) every value is decided by that
-    exact comparison instead.
+    sorted centers, so each cut is one binary search.
     """
-    n = len(distinct)
-    order = sorted(range(len(centers)), key=centers.__getitem__)
-    ranked = [centers[j] for j in order]
     tol = 4.0 * math.ulp(max(-distinct[0], distinct[-1], -ranked[0], ranked[-1]))
     cuts = [0]
     for lo, hi in zip(ranked, ranked[1:]):
         mid = 0.5 * (lo + hi)
         cut = bisect_left(distinct, mid - tol)
         if hi - lo <= 2.0 * tol or bisect_right(distinct, mid + tol, cut) > cut:
-            labels = np.argmin(np.abs(np.asarray(distinct)[:, None] - np.asarray(centers)), axis=1)
-            starts = np.flatnonzero(np.diff(labels, prepend=-1))
-            return labels[starts].tolist(), starts.tolist(), np.diff(starts, append=n).tolist()
+            return None
         cuts.append(cut)
-    cuts.append(n)
+    cuts.append(len(distinct))
+    return cuts
+
+
+def _assign(distinct, centers):
+    """Nearest center of each sorted distinct value, ``argmin(|x - c|)`` with
+    ties to the lower center index, as runs in value order (a center owns
+    several only on the exact path): lists of run center, start and length.
+
+    The runs come from ``_cuts``; where it declines, every value is decided
+    by the exact comparison instead.
+    """
+    n = len(distinct)
+    order = sorted(range(len(centers)), key=centers.__getitem__)
+    cuts = _cuts(distinct, [centers[j] for j in order])
+    if cuts is None:
+        labels = np.argmin(np.abs(np.asarray(distinct)[:, None] - np.asarray(centers)), axis=1)
+        starts = np.flatnonzero(np.diff(labels, prepend=-1))
+        return labels[starts].tolist(), starts.tolist(), np.diff(starts, append=n).tolist()
     runs = [(j, a, b - a) for j, a, b in zip(order, cuts, cuts[1:]) if b > a]
     return [r[0] for r in runs], [r[1] for r in runs], [r[2] for r in runs]
 
@@ -245,40 +264,86 @@ def _farthest(hist: _Histogram, centers, owners, starts, sizes) -> float:
     return xs[inverse[np.flatnonzero(np.isin(inverse, tied))[0]]]
 
 
-def _lloyd(hist: _Histogram, centers: list[float], max_iter: int):
+def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict | None = None):
     """One Lloyd run over the histogram from the given centers. Returns
-    (centroids, runs of the final assignment as ``_assign`` gives them,
-    objective trace, iters). An iteration reads the prefix sums at the k
-    or so run ends, not the m values; only an empty-cluster repair that
-    finds several farthest values scans the pixels for the first."""
+    (centroids, final partition, objective trace, iters), the partition as
+    ``(owners, bounds)``: the center of each run in value order and the run
+    bounds, k runs and k + 1 bounds on an ordinary iteration.
+
+    An ordinary iteration is one ``_cuts`` search and one pass over the k
+    intervals, whose prefix-sum differences give both the new centers and
+    the objective, summed in value order. An iteration near a midpoint or
+    with near-equal centers (the exact path of ``_assign``) or with an empty
+    cluster (the repair) runs the per-run bookkeeping instead.
+
+    ``ends`` maps the bounds of partitions that earlier runs of the fit
+    passed through to the iterations they had left to converge, counting
+    only partitions that an ordinary iteration made and after which every
+    iteration was ordinary. From such a partition the next one depends on
+    the bounds alone, not on which center index owns which interval, so a
+    run that reaches one repeats the earlier path to the same objective and
+    would lose the strict ``<`` to the earlier run: it returns ``None``
+    there, if it would converge within ``max_iter``. A run that converges or
+    rejoins adds its own partitions to ``ends``; without ``ends`` the run
+    starts a table of its own.
+    """
+    ends = {} if ends is None else ends
     k = len(centers)
+    xs, shift, n = hist.xs, hist.shift, len(hist.xs)
     cum_n, cum_x, cum_xx = hist.cum_n, hist.cum_x, hist.cum_xx
     prev = None
     trace: list[float] = []
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        runs = _assign(hist.xs, centers)
-        # Repair empty clusters: move each onto the value currently farthest
-        # from its assigned centroid (the earliest in pixel order among
-        # ties), then re-assign.
-        while len(set(runs[0])) < k:
-            centers[min(set(range(k)) - set(runs[0]))] = _farthest(hist, centers, *runs)
-            runs = _assign(hist.xs, centers)
-        if runs == prev:
+    path = []  # bounds of each iteration's partition
+    rare = 0  # the last iteration off the ordinary path
+    end = None  # the iteration the run converges at
+    for iterations in range(1, max_iter + 1):
+        owners = sorted(range(k), key=centers.__getitem__)
+        bounds = _cuts(xs, [centers[j] for j in owners])
+        if bounds is None or len(set(bounds)) <= k:
+            rare = iterations
+            runs = _assign(xs, centers)
+            # Repair empty clusters: move each onto the value currently
+            # farthest from its assigned centroid (the earliest in pixel
+            # order among ties), then re-assign.
+            while len(set(runs[0])) < k:
+                centers[min(set(range(k)) - set(runs[0]))] = _farthest(hist, centers, *runs)
+                runs = _assign(xs, centers)
+            owners, bounds = runs[0], [*runs[1], n]
+        if (owners, bounds) == prev:
+            end = iterations
             break
-        size, s1, s2 = [0] * k, [0.0] * k, [0.0] * k
-        for j, a, m in zip(*runs):
-            b = a + m
-            size[j] += cum_n[b] - cum_n[a]
-            s1[j] += cum_x[b] - cum_x[a]
-            s2[j] += cum_xx[b] - cum_xx[a]
-        means = [s / n for s, n in zip(s1, size)]  # of x - shift
-        centers = [hist.shift + c for c in means]
+        key = tuple(bounds)
+        # An unknown partition counts max_iter iterations left: never in budget.
+        if iterations + ends.get(key, max_iter) <= max_iter:
+            end = iterations + ends[key]
+            break
+        path.append(key)
+        prev = owners, bounds
+        if rare == iterations:
+            size, s1, s2 = [0] * k, [0.0] * k, [0.0] * k
+            for j, a, b in zip(owners, bounds, bounds[1:]):
+                size[j] += cum_n[b] - cum_n[a]
+                s1[j] += cum_x[b] - cum_x[a]
+                s2[j] += cum_xx[b] - cum_xx[a]
+            means = [s / m for s, m in zip(s1, size)]  # of x - shift
+            centers = [shift + c for c in means]
+            trace.append(sum(s2[j] - s1[j] * means[j] for j in dict.fromkeys(owners)))
+            continue
+        centers = [0.0] * k
+        terms = []
+        for j, a, b in zip(owners, bounds, bounds[1:]):
+            s1 = cum_x[b] - cum_x[a]
+            mean = s1 / (cum_n[b] - cum_n[a])  # of x - shift
+            centers[j] = shift + mean
+            terms.append(cum_xx[b] - cum_xx[a] - s1 * mean)
         # Summed in value order, so restarts that reach one partition under
         # other center indices get the same objective and the first keeps it.
-        trace.append(sum(s2[j] - s1[j] * means[j] for j in dict.fromkeys(runs[0])))
-        prev = runs
+        trace.append(sum(terms))
+    if end is not None:
+        for t in range(rare + 1, len(path) + 1):
+            ends.setdefault(path[t - 1], end - t)
+        if end > iterations:
+            return None  # rejoined an earlier run's path
     return centers, prev, trace, iterations
 
 
@@ -291,9 +356,12 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
     the histogram exactly as if drawn from the pixels; Lloyd then runs on
     the distinct values weighted by their counts, which gives the per-pixel
     result at a cost per iteration that grows with the log of the number of
-    distinct values. With fewer distinct values than k the distinct values
-    become centroids, the remainder are duplicates, and the result is
-    flagged degenerate. ``values`` may also be a ready ``_Histogram``.
+    distinct values. A restart that rejoins an earlier restart's path stops
+    there (see ``_lloyd``); the earlier one keeps the win. With fewer
+    distinct values than k the distinct values become centroids, the
+    remainder are duplicates, and the result is flagged degenerate.
+    ``values`` may also be a ready ``_Histogram``. Values are expected on
+    the pipeline's normalised [0, 1] scale, as ``em_gmm_1d`` needs them.
     """
     cfg = cfg or ClusterConfig()
     hist = values if isinstance(values, _Histogram) else _histogram(values)
@@ -312,14 +380,15 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
         )
 
     best = None
+    ends: dict = {}
     for restart, centers0 in _starts(hist, cfg):
-        centroids, runs, trace, iterations = _lloyd(hist, centers0.tolist(), cfg.max_iter)
-        if best is None or trace[-1] < best[3][-1]:
-            best = restart, centroids, runs, trace, iterations
-    restart, centroids, (owners, _, sizes), trace, iterations = best
+        fit = _lloyd(hist, centers0.tolist(), cfg.max_iter, ends)
+        if fit is not None and (best is None or fit[2][-1] < best[3][-1]):
+            best = restart, *fit
+    restart, centroids, (owners, bounds), trace, iterations = best
     return KMeansResult(
         centroids=np.array(centroids),
-        assignment=np.repeat(owners, sizes)[hist.inverse],
+        assignment=np.repeat(owners, np.diff(bounds))[hist.inverse],
         objective=trace[-1],
         objective_trace=trace,
         n_iter=iterations,
@@ -383,6 +452,12 @@ def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
     posterior rows always sum to one. Every k, k=1 included, goes
     through the same runs, all on one histogram of the values: EM over the
     distinct values weighted by their counts is EM over the pixels.
+
+    Values are expected on the pipeline's normalised [0, 1] scale:
+    ``VARIANCE_FLOOR`` is in those units, and the E-step expands
+    log N(x | mu, var) into const + b*x + a*x^2, which cancels badly for a
+    floored component at large |x|. On raw intensities (|x| near 1000) such
+    a component loses about 1e-4 of log-density per pixel to rounding.
     """
     cfg = cfg or ClusterConfig()
     hist = _histogram(values)
@@ -471,6 +546,8 @@ def segment_slice(
     Zero-intensity background pixels are excluded (label 0) unless
     ``include_background`` is set; excluding the black area keeps it from
     consuming one of the k classes. An all-zero slice yields an all-zero map flagged degenerate.
+    Intensities are expected on the pipeline's normalised [0, 1] scale (see
+    ``em_gmm_1d``).
     """
     cfg = cfg or ClusterConfig()
     if method not in (METHOD_EM, METHOD_KMEANS):

@@ -156,8 +156,7 @@ def read_mha(path, kind: str = KIND_INTENSITY) -> Volume:
     if len(payload) > expected:
         log.warning("ignoring %d trailing payload bytes in %s", len(payload) - expected, path)
 
-    flat = np.frombuffer(payload[:expected], dtype=dtype)
-    grid = flat.reshape(depth, height, width)
+    grid = np.frombuffer(payload, dtype=dtype, count=width * height * depth).reshape(depth, height, width)
     if kind == KIND_LABEL:
         data = grid.astype(np.int16)
     else:

@@ -5,6 +5,9 @@ loops, recursion-free flood fill, exhaustive enumeration) and shares no code
 with the package under test.
 """
 
+import math
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
 
@@ -266,6 +269,98 @@ def kmeans_pixel_lloyd(values, k: int, seed: int, n_restarts: int, max_iter: int
         if best is None or sse < best[2]:
             best = (centers, prev, sse, iterations, restart, False)
     return best
+
+
+def _assign_reference(distinct, centers):
+    """Nearest center of each sorted distinct value, ``argmin(|x - c|)`` with
+    ties to the lower center index, as runs in value order (a center owns
+    several only on the exact path): lists of run center, start and length.
+
+    1-D nearest-center cells are the intervals between midpoints of the
+    sorted centers, so the cuts come from binary search. Where rounding of
+    ``|x - c|`` can tie two centers (a value within a few ulps of a midpoint,
+    or centers equal or a few ulps apart) every value is decided by that
+    exact comparison instead.
+    """
+    n = len(distinct)
+    order = sorted(range(len(centers)), key=centers.__getitem__)
+    ranked = [centers[j] for j in order]
+    tol = 4.0 * math.ulp(max(-distinct[0], distinct[-1], -ranked[0], ranked[-1]))
+    cuts = [0]
+    for lo, hi in zip(ranked, ranked[1:]):
+        mid = 0.5 * (lo + hi)
+        cut = bisect_left(distinct, mid - tol)
+        if hi - lo <= 2.0 * tol or bisect_right(distinct, mid + tol, cut) > cut:
+            labels = np.argmin(np.abs(np.asarray(distinct)[:, None] - np.asarray(centers)), axis=1)
+            starts = np.flatnonzero(np.diff(labels, prepend=-1))
+            return labels[starts].tolist(), starts.tolist(), np.diff(starts, append=n).tolist()
+        cuts.append(cut)
+    cuts.append(n)
+    runs = [(j, a, b - a) for j, a, b in zip(order, cuts, cuts[1:]) if b > a]
+    return [r[0] for r in runs], [r[1] for r in runs], [r[2] for r in runs]
+
+
+def _farthest_reference(hist, centers, owners, starts, sizes) -> float:
+    """The value farthest from its assigned center; among ties, the one
+    that occurs first in pixel order.
+
+    ``x - c`` rounds monotonically in x, so over a run it is extreme at the
+    run's ends, and the values tied with an end form one stretch there.
+    """
+    xs = hist.xs
+    runs = list(zip(owners, starts, sizes))
+    top = max(max(abs(xs[a] - centers[j]), abs(xs[a + m - 1] - centers[j])) for j, a, m in runs)
+    tied = []
+    for j, a, m in runs:
+        def gap(x, c=centers[j]):
+            return x - c
+
+        for end in (-top, top):
+            tied += range(bisect_left(xs, end, a, a + m, key=gap), bisect_right(xs, end, a, a + m, key=gap))
+    if len(tied) == 1:
+        return xs[tied[0]]
+    inverse = hist.inverse
+    return xs[inverse[np.flatnonzero(np.isin(inverse, tied))[0]]]
+
+
+def lloyd_reference(hist, centers: list[float], max_iter: int):
+    """One Lloyd run over a ``clustering._histogram`` table from the given
+    centers, as the package ran it before an ordinary iteration kept its
+    partition as one cut list: every iteration builds the runs triple, tests
+    for empty clusters with sets, and sums the objective over the run
+    owners in value order. Returns (centroids, runs of the final assignment
+    as ``_assign_reference`` gives them, objective trace, iters). Only an
+    empty-cluster repair that finds several farthest values scans the
+    pixels for the first."""
+    k = len(centers)
+    cum_n, cum_x, cum_xx = hist.cum_n, hist.cum_x, hist.cum_xx
+    prev = None
+    trace: list[float] = []
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        runs = _assign_reference(hist.xs, centers)
+        # Repair empty clusters: move each onto the value currently farthest
+        # from its assigned centroid (the earliest in pixel order among
+        # ties), then re-assign.
+        while len(set(runs[0])) < k:
+            centers[min(set(range(k)) - set(runs[0]))] = _farthest_reference(hist, centers, *runs)
+            runs = _assign_reference(hist.xs, centers)
+        if runs == prev:
+            break
+        size, s1, s2 = [0] * k, [0.0] * k, [0.0] * k
+        for j, a, m in zip(*runs):
+            b = a + m
+            size[j] += cum_n[b] - cum_n[a]
+            s1[j] += cum_x[b] - cum_x[a]
+            s2[j] += cum_xx[b] - cum_xx[a]
+        means = [s / n for s, n in zip(s1, size)]  # of x - shift
+        centers = [hist.shift + c for c in means]
+        # Summed in value order, so restarts that reach one partition under
+        # other center indices get the same objective and the first keeps it.
+        trace.append(sum(s2[j] - s1[j] * means[j] for j in dict.fromkeys(runs[0])))
+        prev = runs
+    return centers, prev, trace, iterations
 
 
 def nearest_center_loop(values, centers) -> list[int]:

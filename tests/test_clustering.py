@@ -7,9 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import em_pixel_reference, kmeans_dp_objective, kmeans_pixel_lloyd, nearest_center_loop
+from oracles import em_pixel_reference, kmeans_dp_objective, kmeans_pixel_lloyd, lloyd_reference, nearest_center_loop
 from conftest import PHANTOM_REP_SLICES, make_slice
 
 from tumorbox.clustering import (
@@ -122,6 +122,19 @@ def assert_matches_pixel_lloyd(values, cfg):
     assert res.objective == pytest.approx(objective, rel=1e-12, abs=0)
 
 
+def heavy_repeat_values(rng):
+    """A wide background mode, a bright small mode and sparse outliers:
+    about 80 distinct integers over 1720 pixels, so random starts often
+    draw one value twice and the empty-cluster repair runs."""
+    values = np.concatenate([
+        rng.normal(60, 8, 1500).round(),
+        rng.normal(110, 4, 200).round(),
+        rng.integers(0, 160, 20),
+    ])
+    rng.shuffle(values)
+    return values
+
+
 class TestKMeansMatchesPixelLloyd:
     """Lloyd over weighted distinct values reproduces Lloyd over every pixel."""
 
@@ -130,16 +143,7 @@ class TestKMeansMatchesPixelLloyd:
     def test_integer_values_with_heavy_repeats(self, k, init):
         rng = np.random.default_rng(300 + k)
         for trial in range(8):
-            # a wide background mode, a bright small mode and sparse outliers:
-            # about 80 distinct integers over 1720 pixels, so random starts
-            # often draw one value twice and the empty-cluster repair runs
-            values = np.concatenate([
-                rng.normal(60, 8, 1500).round(),
-                rng.normal(110, 4, 200).round(),
-                rng.integers(0, 160, 20),
-            ])
-            rng.shuffle(values)
-            assert_matches_pixel_lloyd(values, ClusterConfig(k=k, seed=trial, init=init))
+            assert_matches_pixel_lloyd(heavy_repeat_values(rng), ClusterConfig(k=k, seed=trial, init=init))
 
     @pytest.mark.parametrize("case", range(5))
     def test_enhanced_phantom_slices(self, case, phantom_cases, phantom_atlases):
@@ -206,6 +210,115 @@ class TestIntervalAssignment:
         assert min(sizes) > 0 and starts == np.cumsum([0] + sizes[:-1]).tolist()
         assert sum(sizes) == distinct.size
         assert np.repeat(owners, sizes).tolist() == nearest_center_loop(distinct, centers)
+
+
+def assert_lloyd_matches_reference(hist, starts, max_iter):
+    """Every restart of ``_lloyd`` run alone equals ``lloyd_reference`` from
+    the same start: centers and trace to the bit, runs and iterations. Run
+    as ``kmeans_1d`` runs them, on one table of partitions, a restart either
+    does the same or stops where it rejoins an earlier restart's path; the
+    reference then converges within ``max_iter`` to the centers and
+    objective of an earlier restart. Returns how many restarts stopped."""
+    ends, finals, stopped = {}, [], 0
+    for start in starts:
+        centers, runs, trace, iters = lloyd_reference(hist, list(start), max_iter)
+        alone = _lloyd(hist, list(start), max_iter)
+        assert np.array(alone[0]).tobytes() == np.array(centers).tobytes()
+        assert alone[1] == (runs[0], [*runs[1], hist.distinct.size])
+        assert np.array(alone[2]).tobytes() == np.array(trace).tobytes()
+        assert alone[3] == iters
+        shared = _lloyd(hist, list(start), max_iter, ends)
+        if shared is None:
+            stopped += 1
+            assert lloyd_reference(hist, list(start), max_iter + 1)[3] <= max_iter
+            assert (sorted(centers), trace[-1]) in finals
+        else:
+            assert shared == alone
+        finals.append((sorted(centers), trace[-1]))
+    return stopped
+
+
+class TestLloydMatchesReference:
+    """The cut-list Lloyd loop reproduces the per-run loop it replaced,
+    through the exact path, the empty-cluster repair and the rejoin rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values_and_centers(), st.integers(1, 30))
+    def test_interval_edge_starts(self, case, max_iter):
+        distinct, centers = case
+        assume(distinct.size >= centers.size)
+        # The reversed start reaches the same partitions under other center
+        # indices, so it rejoins wherever the first run stayed ordinary.
+        assert_lloyd_matches_reference(_histogram(distinct), [centers.tolist(), centers[::-1].tolist()], max_iter)
+
+    @pytest.mark.parametrize("init", ["quantile-spread", "random-from-data"])
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    def test_integer_values_with_heavy_repeats(self, k, init):
+        # The data of TestKMeansMatchesPixelLloyd: random starts draw one
+        # value twice (the repair) and integer centers put midpoints on
+        # values (the exact path).
+        rng = np.random.default_rng(300 + k)
+        for trial in range(8):
+            hist = _histogram(heavy_repeat_values(rng))
+            cfg = ClusterConfig(k=k, seed=trial, init=init, n_restarts=8)
+            assert_lloyd_matches_reference(hist, [c.tolist() for _, c in _starts(hist, cfg)], cfg.max_iter)
+
+    def test_enhanced_phantom_slices_rejoin(self, phantom_cases, phantom_atlases):
+        from tumorbox.preprocess import enhance_contrast, normalize
+
+        stopped = 0
+        for _, vol, _ in phantom_cases[:2]:
+            for n in PHANTOM_REP_SLICES:
+                data = enhance_contrast(normalize(extract_slice(vol, n)), phantom_atlases[n]).data
+                hist = _histogram(data[data > 0])
+                stopped += assert_lloyd_matches_reference(hist, [c.tolist() for _, c in _starts(hist, ClusterConfig())], 200)
+        assert stopped > 0
+
+
+class TestRejoin:
+    @staticmethod
+    def slices(phantom_cases, phantom_atlases):
+        from tumorbox.preprocess import enhance_contrast, normalize
+
+        data = enhance_contrast(normalize(extract_slice(phantom_cases[0][1], 32)), phantom_atlases[32]).data
+        values = data[data > 0]
+        # continuous values, and the integers a BraTS-style int16 slice holds
+        return values, np.rint(values * 1000)
+
+    def test_every_iteration_budget_matches_pixel_lloyd(self, phantom_cases, phantom_atlases):
+        # A restart stops at a partition an earlier restart passed through
+        # only if it would converge within max_iter. Budgets around the
+        # restarts' lengths put that edge between the two restarts' paths:
+        # the reference checks every stop, and the fit stays the per-pixel one.
+        stopped = 0
+        for values in self.slices(phantom_cases, phantom_atlases):
+            hist = _histogram(values)
+            for max_iter in range(1, 61):
+                cfg = ClusterConfig(max_iter=max_iter)
+                stopped += assert_lloyd_matches_reference(hist, [c.tolist() for _, c in _starts(hist, cfg)], max_iter)
+                res = kmeans_1d(values, cfg)
+                _, assign, _, n_iter, best_restart, _ = kmeans_pixel_lloyd(values, cfg.k, cfg.seed, cfg.n_restarts, max_iter)
+                assert (res.n_iter, res.best_restart) == (n_iter, best_restart)
+                assert np.array_equal(res.assignment, assign)
+        assert stopped > 0
+
+    def test_rejoined_restarts_run_fewer_iterations(self, phantom_cases, phantom_atlases, monkeypatch):
+        # Each Lloyd iteration makes at least one interval search.
+        import tumorbox.clustering as cl
+
+        searches, real = [], cl._cuts
+
+        def counted(*args):
+            searches.append(1)
+            return real(*args)
+
+        values = self.slices(phantom_cases, phantom_atlases)[0]
+        hist = _histogram(values)
+        reference = [lloyd_reference(hist, c.tolist(), 200) for _, c in _starts(hist, ClusterConfig())]
+        monkeypatch.setattr(cl, "_cuts", counted)
+        res = kmeans_1d(hist)
+        assert len(searches) < sum(fit[3] for fit in reference)
+        assert res.objective == min(fit[2][-1] for fit in reference)
 
 
 @st.composite

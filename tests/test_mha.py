@@ -191,6 +191,18 @@ def test_truncated_payload_detected(tmp_path):
         read_mha(path)
 
 
+def test_trailing_payload_bytes_warn_and_read_equal_data(tmp_path, caplog):
+    # Three trailing bytes: not a whole int16, so the read must stop at the
+    # voxel count instead of viewing the whole payload.
+    values, payload = int16_payload((4, 4, 3))
+    path = tmp_path / "long.mha"
+    path.write_bytes(build_mha_bytes(payload=payload + b"\x01\x02\x03"))
+    with caplog.at_level("WARNING"):
+        vol = read_mha(path)
+    assert np.array_equal(vol.data, values.astype(np.float64))
+    assert any("3 trailing payload bytes" in rec.message for rec in caplog.records)
+
+
 def test_ndims_other_than_3_rejected(tmp_path):
     raw = build_mha_bytes(dims=(2, 2, 2), payload=b"").replace(b"NDims = 3", b"NDims = 2")
     path = tmp_path / "nd2.mha"
