@@ -5,14 +5,17 @@ payload, stored inline (``ElementDataFile = LOCAL``) or in a sibling raw
 file. Anything else is rejected rather than guessed at.
 """
 
+import io
 import logging
+import math
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_open
 from .errors import FormatError, TruncatedDataError, UnsupportedFeatureError
-from .volume import KIND_INTENSITY, KIND_LABEL, Volume
+from .volume import KIND_INTENSITY, KIND_LABEL, Volume, check_labels
 
 log = logging.getLogger(__name__)
 
@@ -74,7 +77,14 @@ def read_mha(path, kind: str = KIND_INTENSITY) -> Volume:
     """Read an uncompressed 3-D MetaImage file into a Volume.
 
     ``kind`` selects the in-memory representation: "intensity" converts the
-    payload to float64, "label" to int16 (and validates the BraTS label set).
+    payload to float64, "label" to int16. A label payload is checked against
+    the BraTS label set 0..4 as stored, before the cast, so a fractional,
+    NaN or out-of-range value raises ValidationError naming that value.
+
+    The payload is read once, exactly as many bytes as DimSize and
+    ElementType call for, from after the header (``LOCAL``) or from the
+    sibling raw file. A shorter payload raises TruncatedDataError; extra
+    bytes are ignored with a warning.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -139,26 +149,28 @@ def read_mha(path, kind: str = KIND_INTENSITY) -> Volume:
             raise UnsupportedFeatureError(
                 f"ElementDataFile {data_file!r} not supported (only LOCAL or a raw file)"
             )
+        dtype = np.dtype(ELEMENT_DTYPES[element_type]).newbyteorder(">" if msb else "<")
+        shape = (depth, height, width)
         if data_file == "LOCAL":
-            payload = fh.read()
+            grid, available = _read_payload(fh, dtype, shape)
         else:
-            raw_path = path.parent / data_file
-            with open(raw_path, "rb") as raw:
-                payload = raw.read()
+            with open(path.parent / data_file, "rb") as raw:
+                grid, available = _read_payload(raw, dtype, shape)
 
-    dtype = np.dtype(ELEMENT_DTYPES[element_type]).newbyteorder(">" if msb else "<")
     expected = width * height * depth * dtype.itemsize
-    if len(payload) < expected:
+    if grid is None:
         raise TruncatedDataError(
-            f"payload has {len(payload)} bytes, {expected} expected for "
+            f"payload has {available} bytes, {expected} expected for "
             f"{width}x{height}x{depth} {element_type}"
         )
-    if len(payload) > expected:
-        log.warning("ignoring %d trailing payload bytes in %s", len(payload) - expected, path)
+    if available > expected:
+        log.warning("ignoring %d trailing payload bytes in %s", available - expected, path)
 
-    grid = np.frombuffer(payload, dtype=dtype, count=width * height * depth).reshape(depth, height, width)
     if kind == KIND_LABEL:
-        data = grid.astype(np.int16)
+        # Check the values as stored: casting first would turn 2.5 into 2,
+        # NaN into 0 and 65535 into -1.
+        check_labels(grid)
+        data = grid.astype(np.int16, copy=False)
     else:
         data = grid.astype(np.float64)
     return Volume(
@@ -168,6 +180,30 @@ def read_mha(path, kind: str = KIND_INTENSITY) -> Volume:
         byte_order_msb=msb,
         spacing=spacing,
     )
+
+
+def _read_payload(fh, dtype: np.dtype, shape: tuple) -> tuple:
+    """Read one ``shape`` grid of ``dtype`` from ``fh``'s current position.
+
+    Returns ``(grid, available)``: the grid (None when the payload is short)
+    and the number of payload bytes the file holds. The file is sized before
+    anything is allocated, so a header that overstates DimSize fails as
+    truncated, and the payload is then read once, straight into the array.
+    A pipe has no size to ask for, so it is read to its end first.
+    """
+    if not fh.seekable():
+        fh = io.BytesIO(fh.read())
+    start = fh.tell()
+    available = fh.seek(0, os.SEEK_END) - start
+    expected = math.prod(shape) * dtype.itemsize
+    if available < expected:
+        return None, available
+    fh.seek(start)
+    grid = np.empty(shape, dtype=dtype)
+    got = fh.readinto(grid)
+    if got < expected:  # the file shrank after it was sized
+        return None, got
+    return grid, available
 
 
 def _element_type_for(volume: Volume) -> str:

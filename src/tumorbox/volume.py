@@ -21,9 +21,32 @@ KIND_LABEL = "label"
 LABEL_VALUES = frozenset({0, 1, 2, 3, 4})
 
 
+def check_labels(data: np.ndarray) -> None:
+    """Raise ValidationError unless every value of ``data`` is a BraTS label.
+
+    The label set is the integer range 0..4, so a min/max pass decides for
+    integer data. Other dtypes must also hold integral values (2.0 is label
+    2, 2.5 is not); NaN fails the range test. ``np.unique`` sorts the data
+    only to name the offending values, as stored, in the error: ascending,
+    with NaN last.
+    """
+    lo, hi = data.min(), data.max()
+    legal = 0 <= lo and hi <= 4
+    if legal and data.dtype.kind not in "biu":
+        legal = np.array_equal(data, np.rint(data))
+    if not legal:
+        bad = [v for v in np.unique(data).tolist() if v not in LABEL_VALUES]
+        raise ValidationError(f"label volume contains values outside 0..4: {bad}")
+
+
 @dataclass(frozen=True, eq=False)
 class Volume:
     """Immutable 3-D scalar grid, either an intensity image or a label map.
+
+    Construction checks the data in O(n) without sorting it: an intensity
+    volume must be finite and non-negative, a label volume must hold only the
+    BraTS labels 0..4 (see :func:`check_labels`). Either failure raises
+    ValidationError.
 
     Attributes:
         data: array of shape (depth, height, width); float64 for intensity
@@ -51,15 +74,15 @@ class Volume:
         if self.data.size == 0:
             raise ValidationError("volume has no voxels")
         if self.kind == KIND_INTENSITY:
-            if not np.all(np.isfinite(self.data)):
+            # NaN propagates through min and max, and an infinity lands in
+            # one of them, so two passes decide both rules without a mask.
+            lo, hi = self.data.min(), self.data.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise ValidationError("intensity volume contains non-finite values")
-            if np.any(self.data < 0):
+            if lo < 0:
                 raise ValidationError("intensity volume contains negative values")
         else:
-            values = np.unique(self.data)
-            if not np.all(np.isin(values, sorted(LABEL_VALUES))):
-                bad = sorted(set(values.tolist()) - LABEL_VALUES)
-                raise ValidationError(f"label volume contains values outside 0..4: {bad}")
+            check_labels(self.data)
 
     @property
     def width(self) -> int:

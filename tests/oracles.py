@@ -488,3 +488,23 @@ def segmentation_fit(slc, method: str, cfg, include_background: bool = False) ->
         "converged": res.converged,
         "best_restart": res.best_restart,
     }
+
+
+def volume_check_reference(data: np.ndarray, kind: str):
+    """``Volume``'s value checks as first written, over every voxel.
+
+    Intensity: an ``isfinite`` mask, then an ``any(data < 0)`` mask. Labels:
+    ``np.unique`` (a sort) and ``np.isin`` against {0..4}. Returns the
+    ValidationError message, or None when the data passes.
+    """
+    if kind == "intensity":
+        if not np.all(np.isfinite(data)):
+            return "intensity volume contains non-finite values"
+        if np.any(data < 0):
+            return "intensity volume contains negative values"
+        return None
+    values = np.unique(data)
+    if not np.all(np.isin(values, [0, 1, 2, 3, 4])):
+        bad = sorted(set(values.tolist()) - {0, 1, 2, 3, 4})
+        return f"label volume contains values outside 0..4: {bad}"
+    return None

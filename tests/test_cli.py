@@ -181,6 +181,27 @@ class TestAtlasBuild:
         code = run(["atlas", "build", "--manifest", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path / "o")])
         assert code == 4
 
+    def test_fractional_gt_is_usage_error(self, tmp_path, phantom_dir, caplog):
+        # A MET_FLOAT ground truth holding 2.5 once read as label 2.
+        from tumorbox.mha import read_mha
+
+        gt = read_mha(phantom_dir / "phantom_000_gt.mha", kind="label")
+        path = tmp_path / "fractional_gt.mha"
+        write_mha(Volume(data=gt.data, kind="label", element_type="MET_FLOAT"), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-4] + np.float32(2.5).tobytes())
+        man = tmp_path / "frac.csv"
+        man.write_text(
+            "intensity_path,gt_path,cohort\n"
+            f"{phantom_dir / 'phantom_000_flair.mha'},{path},Phantom\n"
+        )
+        out = tmp_path / "atlases"
+        with caplog.at_level("ERROR"):
+            code = run(["atlas", "build", "--manifest", str(man), "--out-dir", str(out)])
+        assert code == 2
+        assert "label volume contains values outside 0..4: [2.5]" in caplog.text
+        assert not out.exists()
+
     def test_shallow_gt_is_usage_error(self, shallow_manifest, tmp_path, caplog):
         manifest, gt_path = shallow_manifest
         out = tmp_path / "atlases"

@@ -1,3 +1,7 @@
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from tumorbox.errors import (
     FormatError,
     TruncatedDataError,
     UnsupportedFeatureError,
+    ValidationError,
 )
 from tumorbox.mha import read_mha, write_mha
 from tumorbox.volume import Volume
@@ -241,3 +246,151 @@ def test_unwritable_path_raises_oserror(tmp_path):
     vol = Volume(data=np.zeros((1, 1, 1)))
     with pytest.raises(OSError):
         write_mha(vol, tmp_path / "missing_dir" / "x.mha")
+
+
+# The payload is read once, sized from the header, from after the header
+# (LOCAL) or from a sibling raw file; both layouts must behave alike.
+LAYOUTS = ("LOCAL", "raw")
+
+
+def write_layout(tmp_path, layout, payload, dims=(4, 4, 3), element_type="MET_SHORT", msb=False):
+    if layout == "LOCAL":
+        path = tmp_path / "vol.mha"
+        path.write_bytes(build_mha_bytes(dims=dims, element_type=element_type, payload=payload, msb=msb))
+    else:
+        (tmp_path / "vol.raw").write_bytes(payload)
+        path = tmp_path / "vol.mhd"
+        path.write_bytes(build_mha_bytes(dims=dims, element_type=element_type, msb=msb, data_file="vol.raw"))
+    return path
+
+
+def payload_warnings(caplog):
+    return [rec.getMessage() for rec in caplog.records if rec.name == "tumorbox.mha"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_exact_payload_reads_without_warning(tmp_path, caplog, layout):
+    values, payload = int16_payload((4, 4, 3))
+    path = write_layout(tmp_path, layout, payload)
+    with caplog.at_level("WARNING"):
+        vol = read_mha(path)
+    assert vol.data.dtype == np.float64
+    assert np.array_equal(vol.data, values.astype(np.float64))
+    assert payload_warnings(caplog) == []
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("extra", [1, 3, 4096])
+def test_trailing_bytes_warn_with_their_count(tmp_path, caplog, layout, extra):
+    values, payload = int16_payload((4, 4, 3))
+    path = write_layout(tmp_path, layout, payload + b"\x07" * extra)
+    with caplog.at_level("WARNING"):
+        vol = read_mha(path)
+    assert np.array_equal(vol.data, values.astype(np.float64))
+    assert payload_warnings(caplog) == [f"ignoring {extra} trailing payload bytes in {path}"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("keep", [0, 1, 86])
+def test_short_payload_names_both_sizes(tmp_path, layout, keep):
+    _, payload = int16_payload((4, 4, 3))
+    path = write_layout(tmp_path, layout, payload[:keep])
+    with pytest.raises(TruncatedDataError) as info:
+        read_mha(path)
+    assert str(info.value) == f"payload has {keep} bytes, 96 expected for 4x4x3 MET_SHORT"
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("element_type,dtype", [
+    ("MET_SHORT", np.int16), ("MET_USHORT", np.uint16), ("MET_FLOAT", np.float32),
+])
+def test_big_endian_payload_in_both_layouts(tmp_path, layout, element_type, dtype):
+    rng = np.random.default_rng(21)
+    values = (rng.random((3, 2, 5)) * 3000).astype(dtype)
+    payload = values.astype(np.dtype(dtype).newbyteorder(">")).tobytes()
+    path = write_layout(tmp_path, layout, payload, dims=(5, 2, 3), element_type=element_type, msb=True)
+    vol = read_mha(path)
+    assert vol.data.dtype == np.float64
+    assert np.array_equal(vol.data, values.astype(np.float64))
+
+
+def test_overstated_dimsize_is_truncated_before_allocating(tmp_path):
+    # 4 PB of MET_FLOAT claimed, 96 bytes present: the file size settles it
+    _, payload = int16_payload((4, 4, 3))
+    path = tmp_path / "huge.mha"
+    path.write_bytes(build_mha_bytes(dims=(100000, 100000, 100000), element_type="MET_FLOAT", payload=payload))
+    with pytest.raises(TruncatedDataError) as info:
+        read_mha(path)
+    assert str(info.value) == (
+        "payload has 96 bytes, 4000000000000000 expected for 100000x100000x100000 MET_FLOAT"
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("extra,keep", [(0, 96), (3, 96), (0, 50)])
+def test_payload_from_a_pipe(tmp_path, caplog, layout, extra, keep):
+    # A pipe has no size to ask for (``tumorbox extract <(gunzip -c x.mha.gz)``):
+    # it is read to its end, with the same warning and error as a file.
+    values, payload = int16_payload((4, 4, 3))
+    body = payload[:keep] + b"\x07" * extra
+    if layout == "LOCAL":
+        path = fifo = tmp_path / "vol.mha"
+        body = build_mha_bytes(payload=body)
+    else:
+        fifo = tmp_path / "vol.raw"
+        path = tmp_path / "vol.mhd"
+        path.write_bytes(build_mha_bytes(data_file="vol.raw"))
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(body,), daemon=True)
+    writer.start()
+    try:
+        with caplog.at_level("WARNING"):
+            if keep < len(payload):
+                with pytest.raises(TruncatedDataError, match=f"payload has {keep} bytes, 96 expected"):
+                    read_mha(path)
+            else:
+                vol = read_mha(path)
+                assert np.array_equal(vol.data, values.astype(np.float64))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    expected = [f"ignoring {extra} trailing payload bytes in {path}"] if extra else []
+    assert payload_warnings(caplog) == expected
+
+
+# Label payloads are checked as stored, before the int16 cast.
+@pytest.mark.parametrize("element_type,dtype,bad,named", [
+    ("MET_FLOAT", np.float32, 2.5, "[2.5]"),
+    ("MET_FLOAT", np.float32, np.nan, "[nan]"),
+    ("MET_FLOAT", np.float32, -1.0, "[-1.0]"),
+    ("MET_USHORT", np.uint16, 65535, "[65535]"),
+    ("MET_SHORT", np.int16, -1, "[-1]"),
+    ("MET_SHORT", np.int16, 7, "[7]"),
+])
+def test_label_payload_checked_as_stored(tmp_path, element_type, dtype, bad, named):
+    values = np.tile(np.arange(5), 6).reshape(3, 2, 5).astype(dtype)
+    values[1, 1, 2] = bad
+    path = tmp_path / "gt.mha"
+    path.write_bytes(build_mha_bytes(dims=(5, 2, 3), element_type=element_type, payload=values.tobytes()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # NaN must not reach the cast
+        with pytest.raises(ValidationError) as info:
+            read_mha(path, kind="label")
+    assert str(info.value) == f"label volume contains values outside 0..4: {named}"
+
+
+@pytest.mark.parametrize("element_type,dtype", [
+    ("MET_FLOAT", np.float32), ("MET_USHORT", np.uint16), ("MET_SHORT", np.int16),
+])
+@pytest.mark.parametrize("msb", [False, True])
+def test_integral_label_payload_reads_as_int16(tmp_path, element_type, dtype, msb):
+    values = np.tile(np.arange(5), 6).reshape(3, 2, 5).astype(dtype)
+    if dtype is np.float32:
+        values[0, 0, 0] = -0.0
+    payload = values.astype(np.dtype(dtype).newbyteorder(">" if msb else "<")).tobytes()
+    path = tmp_path / "gt.mha"
+    path.write_bytes(build_mha_bytes(dims=(5, 2, 3), element_type=element_type, payload=payload, msb=msb))
+    vol = read_mha(path, kind="label")
+    assert vol.data.dtype == np.int16
+    assert np.array_equal(vol.data, values.astype(np.int16))
