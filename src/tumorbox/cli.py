@@ -97,11 +97,17 @@ def _load_atlases(atlas_dir: Path, rep_slices) -> dict:
     return atlases
 
 
+def _read_cases(manifest) -> list:
+    """The manifest's cases; one that lists none is a usage error."""
+    cases = read_manifest(manifest)
+    if not cases:
+        raise ConfigurationError(f"manifest {manifest} lists no cases")
+    return cases
+
+
 def cmd_atlas_build(args) -> int:
     cfg = _resolve_config(args)
-    cases = read_manifest(args.manifest)
-    if not cases:
-        raise ConfigurationError(f"manifest {args.manifest} lists no cases")
+    cases = _read_cases(args.manifest)
     rep = cfg.extract.representative_slices
     slices_by_index = {n: [] for n in rep}
     for case in cases:
@@ -179,9 +185,7 @@ def cmd_extract(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    cases = read_manifest(args.manifest)
-    if not cases:
-        raise ConfigurationError(f"manifest {args.manifest} lists no cases")
+    cases = _read_cases(args.manifest)
     atlases = None
     if not cfg.loo:
         if not args.atlas_dir:
@@ -264,9 +268,7 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_select_slices(args) -> int:
-    cases = read_manifest(args.manifest)
-    if not cases:
-        raise ConfigurationError(f"manifest {args.manifest} lists no cases")
+    cases = _read_cases(args.manifest)
     volumes = (read_mha(c.gt_path, kind=KIND_LABEL) for c in cases)
     chosen = select_representatives(
         volumes, count=args.count, min_slice=args.min_slice, max_slice=args.max_slice

@@ -13,7 +13,9 @@ prefix-sum differences, O(k log m) per iteration for m distinct values.
 From a partition, an ordinary step depends on its bounds alone, so a
 restart that reaches bounds an earlier restart of the fit passed through,
 and from which that restart converged on the ordinary path alone, stops
-there: it would end with the same objective and lose the tie. EM fits a
+there: it would end with the same objective and lose the tie. Where a cut
+is uncertain or an interval empty, one exact numpy pass decides every value
+and repairs empty clusters. EM fits a
 Gaussian mixture to the distinct values weighted by their counts (exact
 grouped-data EM): posteriors are (k, m), and each step is one small matrix
 product on the design [1, x, x^2]. Only the winner's posteriors are
@@ -201,11 +203,11 @@ def _starts(hist: _Histogram, cfg: ClusterConfig) -> list[tuple[int, np.ndarray]
 
 def _cuts(distinct, ranked):
     """Cut positions of the nearest-center intervals of the sorted centers
-    ``ranked`` over the sorted distinct values: k + 1 bounds from 0 to m,
-    an empty interval where two cuts coincide. ``None`` where rounding of
-    ``|x - c|`` can tie two centers (a value within a few ulps of a
-    midpoint, or centers equal or a few ulps apart), so that only the exact
-    comparison decides.
+    ``ranked`` over the sorted distinct values: k + 1 strictly increasing
+    bounds from 0 to m. ``None`` where an interval would be empty, or where
+    rounding of ``|x - c|`` can tie two centers (a value within a few ulps
+    of a midpoint, or centers equal or a few ulps apart), so that only the
+    exact comparison decides.
 
     1-D nearest-center cells are the intervals between midpoints of the
     sorted centers, so each cut is one binary search.
@@ -215,53 +217,36 @@ def _cuts(distinct, ranked):
     for lo, hi in zip(ranked, ranked[1:]):
         mid = 0.5 * (lo + hi)
         cut = bisect_left(distinct, mid - tol)
-        if hi - lo <= 2.0 * tol or bisect_right(distinct, mid + tol, cut) > cut:
+        if hi - lo <= 2.0 * tol or cut <= cuts[-1] or bisect_right(distinct, mid + tol, cut) > cut:
             return None
         cuts.append(cut)
     cuts.append(len(distinct))
-    return cuts
+    return cuts if cuts[-2] < cuts[-1] else None
 
 
-def _assign(distinct, centers):
-    """Nearest center of each sorted distinct value, ``argmin(|x - c|)`` with
-    ties to the lower center index, as runs in value order (a center owns
-    several only on the exact path): lists of run center, start and length.
+def _exact_partition(hist: _Histogram, centers: list) -> tuple[list, list]:
+    """The partition ``_cuts`` declines, as the same ``(owners, bounds)``
+    runs in value order (a center may own several runs here).
 
-    The runs come from ``_cuts``; where it declines, every value is decided
-    by the exact comparison instead.
+    Every distinct value goes to ``argmin(|x - c|)``, ties to the lower
+    center index. While a cluster is empty, the lowest-index empty center
+    moves onto the value farthest from its assigned center (among ties, the
+    one that occurs first in pixel order) and every value is reassigned;
+    ``centers`` is updated in place.
     """
-    n = len(distinct)
-    order = sorted(range(len(centers)), key=centers.__getitem__)
-    cuts = _cuts(distinct, [centers[j] for j in order])
-    if cuts is None:
-        labels = np.argmin(np.abs(np.asarray(distinct)[:, None] - np.asarray(centers)), axis=1)
-        starts = np.flatnonzero(np.diff(labels, prepend=-1))
-        return labels[starts].tolist(), starts.tolist(), np.diff(starts, append=n).tolist()
-    runs = [(j, a, b - a) for j, a, b in zip(order, cuts, cuts[1:]) if b > a]
-    return [r[0] for r in runs], [r[1] for r in runs], [r[2] for r in runs]
-
-
-def _farthest(hist: _Histogram, centers, owners, starts, sizes) -> float:
-    """The value farthest from its assigned center; among ties, the one
-    that occurs first in pixel order.
-
-    ``x - c`` rounds monotonically in x, so over a run it is extreme at the
-    run's ends, and the values tied with an end form one stretch there.
-    """
-    xs = hist.xs
-    runs = list(zip(owners, starts, sizes))
-    top = max(max(abs(xs[a] - centers[j]), abs(xs[a + m - 1] - centers[j])) for j, a, m in runs)
-    tied = []
-    for j, a, m in runs:
-        def gap(x, c=centers[j]):
-            return x - c
-
-        for end in (-top, top):
-            tied += range(bisect_left(xs, end, a, a + m, key=gap), bisect_right(xs, end, a, a + m, key=gap))
-    if len(tied) == 1:
-        return xs[tied[0]]
-    inverse = hist.inverse
-    return xs[inverse[np.flatnonzero(np.isin(inverse, tied))[0]]]
+    distinct, k = hist.distinct, len(centers)
+    while True:
+        at = np.array(centers)
+        labels = np.argmin(np.abs(distinct[:, None] - at), axis=1)
+        empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+        if not empty.size:
+            break
+        gap = np.abs(distinct - at[labels])
+        tied = np.flatnonzero(gap == gap.max())
+        far = tied[0] if tied.size == 1 else hist.inverse[np.isin(hist.inverse, tied).argmax()]
+        centers[empty[0]] = hist.xs[far]
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    return labels[starts].tolist(), [*starts.tolist(), distinct.size]
 
 
 def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict | None = None):
@@ -270,11 +255,11 @@ def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict | N
     ``(owners, bounds)``: the center of each run in value order and the run
     bounds, k runs and k + 1 bounds on an ordinary iteration.
 
-    An ordinary iteration is one ``_cuts`` search and one pass over the k
-    intervals, whose prefix-sum differences give both the new centers and
-    the objective, summed in value order. An iteration near a midpoint or
-    with near-equal centers (the exact path of ``_assign``) or with an empty
-    cluster (the repair) runs the per-run bookkeeping instead.
+    There are two paths. An ordinary iteration is one ``_cuts`` search and
+    one pass over the k intervals, whose prefix-sum differences give both
+    the new centers and the objective, summed in value order. Where
+    ``_cuts`` declines, ``_exact_partition`` decides every value and
+    repairs empty clusters, and the per-run bookkeeping sums the runs.
 
     ``ends`` maps the bounds of partitions that earlier runs of the fit
     passed through to the iterations they had left to converge, counting
@@ -289,7 +274,7 @@ def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict | N
     """
     ends = {} if ends is None else ends
     k = len(centers)
-    xs, shift, n = hist.xs, hist.shift, len(hist.xs)
+    xs, shift = hist.xs, hist.shift
     cum_n, cum_x, cum_xx = hist.cum_n, hist.cum_x, hist.cum_xx
     prev = None
     trace: list[float] = []
@@ -299,16 +284,9 @@ def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict | N
     for iterations in range(1, max_iter + 1):
         owners = sorted(range(k), key=centers.__getitem__)
         bounds = _cuts(xs, [centers[j] for j in owners])
-        if bounds is None or len(set(bounds)) <= k:
+        if bounds is None:
             rare = iterations
-            runs = _assign(xs, centers)
-            # Repair empty clusters: move each onto the value currently
-            # farthest from its assigned centroid (the earliest in pixel
-            # order among ties), then re-assign.
-            while len(set(runs[0])) < k:
-                centers[min(set(range(k)) - set(runs[0]))] = _farthest(hist, centers, *runs)
-                runs = _assign(xs, centers)
-            owners, bounds = runs[0], [*runs[1], n]
+            owners, bounds = _exact_partition(hist, centers)
         if (owners, bounds) == prev:
             end = iterations
             break

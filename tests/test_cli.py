@@ -171,12 +171,6 @@ class TestAtlasBuild:
         assert payload["num_patients"] == 1
         assert np.array_equal(got, mask)
 
-    def test_empty_manifest_is_usage_error(self, tmp_path):
-        man = tmp_path / "empty.csv"
-        man.write_text("intensity_path,gt_path,cohort\n")
-        code = run(["atlas", "build", "--manifest", str(man), "--out-dir", str(tmp_path / "o")])
-        assert code == 2
-
     def test_missing_manifest_is_io_error(self, tmp_path):
         code = run(["atlas", "build", "--manifest", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path / "o")])
         assert code == 4
@@ -483,15 +477,6 @@ class TestEval:
         assert len(csv_lines) == 4
         assert (out / "summary_kmeans.json").exists()
 
-    def test_empty_manifest_usage_error(self, tmp_path, atlas_dir):
-        man = tmp_path / "empty.csv"
-        man.write_text("intensity_path,gt_path,cohort\n")
-        code = run([
-            "eval", "--manifest", str(man), "--atlas-dir", str(atlas_dir),
-            "--out-dir", str(tmp_path / "o"),
-        ])
-        assert code == 2
-
     def test_rerun_identical_modulo_wall_ms(self, phantom_dir, atlas_dir, tmp_path, capsys):
         outs = []
         for name in ("r1", "r2"):
@@ -639,6 +624,24 @@ class TestSelectSlices:
         code = run(["select-slices", "--manifest", str(phantom_dir / "manifest.csv"), "--count", count])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+
+class TestEmptyManifest:
+    @pytest.mark.parametrize("argv", [
+        ["atlas", "build", "--out-dir", "out"],
+        ["eval", "--atlas-dir", "atlases", "--out-dir", "out"],
+        ["select-slices"],
+    ], ids=["atlas-build", "eval", "select-slices"])
+    def test_header_only_manifest_is_usage_error(self, tmp_path, caplog, capsys, argv):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("intensity_path,gt_path,cohort\n")
+        argv = [str(tmp_path / a) if a in ("out", "atlases") else a for a in argv]
+        with caplog.at_level("ERROR"):
+            code = run([*argv, "--manifest", str(manifest)])
+        assert code == 2
+        assert f"manifest {manifest} lists no cases" in caplog.text
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
 
 
 class TestConfigPrecedence:

@@ -9,12 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import em_pixel_reference, kmeans_dp_objective, kmeans_pixel_lloyd, lloyd_reference, nearest_center_loop
+from oracles import (
+    _assign_reference,
+    _farthest_reference,
+    em_pixel_reference,
+    kmeans_dp_objective,
+    kmeans_pixel_lloyd,
+    lloyd_reference,
+    nearest_center_loop,
+)
 from conftest import PHANTOM_REP_SLICES, make_slice
 
 from tumorbox.clustering import (
     ClusterConfig,
-    _assign,
+    _cuts,
+    _exact_partition,
     _histogram,
     _lloyd,
     _starts,
@@ -201,15 +210,68 @@ def values_and_centers(draw):
     return np.unique(values), np.array(centers)
 
 
+def assert_runs(owners, bounds, size):
+    """``(owners, bounds)`` are maximal runs covering all ``size`` values."""
+    assert bounds[0] == 0 and bounds[-1] == size and len(bounds) == len(owners) + 1
+    assert all(a < b for a, b in zip(bounds, bounds[1:]))
+    assert all(i != j for i, j in zip(owners, owners[1:]))
+
+
+def repaired_reference(hist, centers):
+    """The oracle's repair loop: ``_assign_reference`` runs, and while a
+    cluster is empty its lowest-index center moves onto
+    ``_farthest_reference``. Returns the runs as ``(owners, bounds)``."""
+    runs = _assign_reference(hist.xs, centers)
+    while len(set(runs[0])) < len(centers):
+        centers[min(set(range(len(centers))) - set(runs[0]))] = _farthest_reference(hist, centers, *runs)
+        runs = _assign_reference(hist.xs, centers)
+    return runs[0], [*runs[1], hist.distinct.size]
+
+
 class TestIntervalAssignment:
     @settings(max_examples=400, deadline=None)
     @given(values_and_centers())
     def test_matches_brute_force_nearest_with_lower_index_ties(self, case):
         distinct, centers = case
-        owners, starts, sizes = _assign(distinct, centers)
-        assert min(sizes) > 0 and starts == np.cumsum([0] + sizes[:-1]).tolist()
-        assert sum(sizes) == distinct.size
-        assert np.repeat(owners, sizes).tolist() == nearest_center_loop(distinct, centers)
+        order = sorted(range(centers.size), key=centers.tolist().__getitem__)
+        cuts = _cuts(distinct.tolist(), centers[order].tolist())
+        if cuts is not None:
+            assert_runs(order, cuts, distinct.size)
+            assert np.repeat(order, np.diff(cuts)).tolist() == nearest_center_loop(distinct, centers)
+
+    @settings(max_examples=400, deadline=None)
+    @given(values_and_centers())
+    def test_exact_partition_matches_brute_force_nearest(self, case):
+        distinct, centers = case
+        assume(distinct.size >= centers.size)
+        nearest = nearest_center_loop(distinct, centers)
+        moved = centers.tolist()
+        owners, bounds = _exact_partition(_histogram(distinct), moved)
+        assert_runs(owners, bounds, distinct.size)
+        assert set(owners) == set(range(centers.size))
+        if len(set(nearest)) == centers.size:
+            assert moved == centers.tolist()  # no repair
+        assert np.repeat(owners, np.diff(bounds)).tolist() == nearest_center_loop(distinct, moved)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values_and_centers(), st.integers(0, 2**32 - 1))
+    def test_repair_matches_reference_loop(self, case, seed):
+        # A duplicate center is never nearest (ties go to the lower index),
+        # so a repair is forced; a center one ulp off another often is too.
+        # Repeated values in shuffled pixel order make the pixel-order tie
+        # rule differ from value order.
+        distinct, centers = case
+        c = float(centers[0])
+        centers = [*centers.tolist(), c, float(np.nextafter(c, np.inf))]
+        assume(distinct.size >= len(centers))
+        rng = np.random.default_rng(seed)
+        pixels = rng.permutation(np.repeat(distinct, rng.integers(1, 4, distinct.size)))
+        hist = _histogram(pixels)
+        expected = list(centers)
+        runs = repaired_reference(hist, expected)
+        moved = list(centers)
+        assert _exact_partition(hist, moved) == runs
+        assert np.array(moved).tobytes() == np.array(expected).tobytes()
 
 
 def assert_lloyd_matches_reference(hist, starts, max_iter):

@@ -1,0 +1,42 @@
+"""numpy is the package's only runtime dependency: every module imports
+only itself (relatively), the standard library and numpy, and
+pyproject.toml declares numpy alone."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tumorbox"
+
+
+def absolute_imports(path):
+    """(line, top-level module) of every non-relative import in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.partition(".")[0]
+
+
+def test_modules_import_only_stdlib_numpy_and_relative():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    seen, foreign = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, name in absolute_imports(path):
+            seen.add(name)
+            if name not in allowed:
+                foreign.append(f"{path.name}:{line} imports {name}")
+    assert "numpy" in seen  # the walk found the imports
+    assert foreign == []
+
+
+def test_pyproject_declares_numpy_as_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project["dependencies"]]
+    assert names == ["numpy"]

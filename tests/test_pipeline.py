@@ -114,6 +114,28 @@ class TestExtractTumorMap:
         expected[largest.pixels[:, 0], largest.pixels[:, 1]] = True
         assert np.array_equal(out.mask, expected)
 
+    def test_em_with_empty_brightest_class_falls_back_to_class4(self):
+        # Phantom128 input set 1 (base seed 3015), case 1, slice 30: two EM
+        # components converge on one mean, and the one no pixel is assigned
+        # to ranks by its model mean one ulp above the tumour pixels' mean.
+        # Class 5 is empty, so the map comes from class 4. A change to how
+        # class means are computed (say, from the histogram) can flip this.
+        from conftest import make_phantom_spec
+        from tumorbox.clustering import segment_slice
+        from tumorbox.phantom import generate_phantom
+        from tumorbox.preprocess import build_atlas, enhance_contrast, normalize
+        from tumorbox.volume import extract_slice
+
+        cases = [generate_phantom(make_phantom_spec(i, base_seed=3015)) for i in range(10)]
+        atlas = build_atlas([extract_slice(gt, 30) for _, gt in cases])
+        intensity, gt = cases[1]
+        lm = segment_slice(enhance_contrast(normalize(extract_slice(intensity, 30)), atlas), "em")
+        tumour = extract_slice(gt, 30).data > 0
+        assert not np.any(lm.labels == 5)
+        assert tumour.sum() == 1215
+        assert np.array_equal(lm.labels == 4, tumour)
+        assert extract_tumor_map(lm).used_class == 4
+
     def test_requires_five_classes(self):
         lm = LabelMap(labels=np.zeros((4, 4), dtype=np.int32), k=3)
         with pytest.raises(ValidationError):
