@@ -171,7 +171,7 @@ def log_unconverged(report: PipelineReport | None, case: str, max_iter: int) -> 
 
 def evaluate_case(
     volume: Volume,
-    gt_volume: Volume,
+    gt: Volume | Slice,
     atlases,
     cfg: RunConfig,
     case_id: str = "",
@@ -179,11 +179,13 @@ def evaluate_case(
 ) -> CaseResult:
     """Score one (volume, ground truth) pair.
 
-    A pipeline that detects nothing scores 0 with the failure flag set;
-    excluding such cases would inflate cohort means invisibly.
+    ``gt`` is the label volume or its :func:`cumulative_gt` plane, which is
+    all the score reads of it. A pipeline that detects nothing scores 0 with
+    the failure flag set; excluding such cases would inflate cohort means
+    invisibly.
     """
     start = time.perf_counter()
-    box_gt = gt_box(cumulative_gt(gt_volume))
+    box_gt = gt_box(gt if isinstance(gt, Slice) else cumulative_gt(gt))
     dims = (volume.width, volume.height)
     try:
         result = run_pipeline(
@@ -272,18 +274,21 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
         raise ValidationError("leave-one-out needs at least two cases")
 
     rep = cfg.extract.representative_slices
-    # LOO: one atlas over every readable ground truth per slice; each case
-    # subtracts its own tumor pixels from it.
-    gt_slices: list[dict[int, Slice] | None] = [None] * len(cases)
+    # LOO reads each ground truth once, here, and keeps only planes of it:
+    # the representative slices build one atlas per slice, from which each
+    # case subtracts its own tumor pixels, and the cumulative plane scores
+    # the case. A read error is kept and becomes that case's error row.
+    prepass: list[tuple[dict[int, Slice], Slice] | Exception | None] = [None] * len(cases)
     totals: dict[int, Atlas] = {}
     if cfg.loo:
         for i, case in enumerate(cases):
             try:
                 gt = read_mha(case.gt_path, kind=KIND_LABEL)
-            except (TumorBoxError, OSError):
-                continue  # reported when the case itself is evaluated
-            gt_slices[i] = representative_gt_slices(gt, rep, case.gt_path)
-        readable = [s for s in gt_slices if s is not None]
+            except (TumorBoxError, OSError) as exc:
+                prepass[i] = exc
+                continue
+            prepass[i] = (representative_gt_slices(gt, rep, case.gt_path), cumulative_gt(gt))
+        readable = [p[0] for p in prepass if isinstance(p, tuple)]
         if readable:
             totals = {n: build_atlas([s[n] for s in readable]) for n in rep}
 
@@ -291,21 +296,23 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
         i, case = i_case
         try:
             volume = read_mha(case.intensity_path)
-            gt_volume = read_mha(case.gt_path, kind=KIND_LABEL)
-            case_atlases = atlases
             if cfg.loo:
-                if gt_slices[i] is None:
-                    raise FormatError("ground truth unreadable during atlas prepass")
+                if isinstance(prepass[i], Exception):
+                    raise prepass[i]
+                gt_slices, gt = prepass[i]
                 case_atlases = {
                     n: Atlas(
                         slice_index=n,
                         num_patients=atlas.num_patients - 1,
-                        counts=atlas.counts - (gt_slices[i][n].data != 0),
+                        counts=atlas.counts - (gt_slices[n].data != 0),
                     )
                     for n, atlas in totals.items()
                 }
+            else:
+                gt = read_mha(case.gt_path, kind=KIND_LABEL)
+                case_atlases = atlases
             return evaluate_case(
-                volume, gt_volume, case_atlases, cfg, case_id=case.case_id, cohort=case.cohort
+                volume, gt, case_atlases, cfg, case_id=case.case_id, cohort=case.cohort
             )
         except (TumorBoxError, OSError) as exc:
             log.error("case %s skipped: %s", case.case_id, exc)

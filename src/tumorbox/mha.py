@@ -240,7 +240,8 @@ def write_mha(volume: Volume, path) -> None:
         f"ElementType = {element_type}\n"
         "ElementDataFile = LOCAL\n"
     )
-    payload = np.ascontiguousarray(volume.data, dtype=dtype).tobytes()
+    # Written through the buffer protocol: no bytes copy of the payload.
+    payload = np.ascontiguousarray(volume.data, dtype=dtype)
 
     with atomic_open(path, "wb") as fh:
         fh.write(header.encode("ascii"))

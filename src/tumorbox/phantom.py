@@ -38,6 +38,11 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN fails every comparison below, so it would pass them all. The
+        # seed is an integer of any size, which numpy checks itself.
+        for name, value in asdict(self).items():
+            if name != "seed" and not all(math.isfinite(v) for v in np.ravel(value)):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if len(self.dims) != 3 or any(int(d) <= 0 for d in self.dims):
             raise ValidationError(f"dims must be three positive integers, got {self.dims}")
         if any(r <= 0 for r in self.brain_radii):
@@ -113,29 +118,50 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume, Volume]:
     skull-stripped analogue the rest of the package relies on). Noise is
     zero-mean Gaussian, applied inside the brain only, and the result is
     clipped at zero. Bit-identical for identical specs.
+
+    The noise draw is the output buffer, filled one z-plane at a time, so
+    the only full-volume arrays are the two returned. Each plane sums its
+    terms in the order ``(x + y) + z`` that broadcasting over the whole grid
+    would use, which keeps the volumes identical to that formulation.
     """
     width, height, depth = (int(v) for v in spec.dims)
+    shape = (depth, height, width)
+    noisy = spec.noise_sigma > 0
+    if noisy:
+        values = np.random.default_rng(spec.seed).normal(0.0, spec.noise_sigma, size=shape)
+    else:
+        values = np.empty(shape)
+    labels = np.empty(shape, dtype=np.int16)
 
-    z = np.arange(depth, dtype=np.float64)[:, None, None]
-    y = np.arange(height, dtype=np.float64)[None, :, None]
-    x = np.arange(width, dtype=np.float64)[None, None, :]
+    z = np.arange(depth, dtype=np.float64)
+    y = np.arange(height, dtype=np.float64)[:, None]
+    x = np.arange(width, dtype=np.float64)
 
     bx, by, bz = spec.brain_center
     rx, ry, rz = spec.brain_radii
-    brain = ((x - bx) / rx) ** 2 + ((y - by) / ry) ** 2 + ((z - bz) / rz) ** 2 <= 1.0
+    brain_xy = ((x - bx) / rx) ** 2 + ((y - by) / ry) ** 2
+    brain_z = ((z - bz) / rz) ** 2
 
     tx, ty, tz = spec.tumor_center
-    tumor = (x - tx) ** 2 + (y - ty) ** 2 + (z - tz) ** 2 <= spec.tumor_radius**2
+    tumor_xy = (x - tx) ** 2 + (y - ty) ** 2
+    tumor_z = (z - tz) ** 2
+    tumor_r2 = spec.tumor_radius**2
 
-    values = np.where(brain, spec.tissue_intensity, 0.0)
-    values = values + np.where(tumor, spec.tumor_offset, 0.0)
-    if spec.noise_sigma > 0:
-        rng = np.random.default_rng(spec.seed)
-        values = values + rng.normal(0.0, spec.noise_sigma, size=values.shape)
-    values = np.where(brain, np.maximum(values, 0.0), 0.0)
-    # Quantise to float32 so MetaImage round trips are exact.
-    values = values.astype(np.float32).astype(np.float64)
+    for k in range(depth):
+        brain = brain_xy + brain_z[k] <= 1.0
+        tumor = tumor_xy + tumor_z[k] <= tumor_r2
+        plane = values[k]
+        signal = np.where(brain, spec.tissue_intensity, 0.0) + np.where(tumor, spec.tumor_offset, 0.0)
+        if noisy:
+            plane += signal
+        else:
+            plane[...] = signal  # adding to a zero buffer would turn -0.0 into +0.0
+        np.maximum(plane, 0.0, out=plane)
+        plane[~brain] = 0.0
+        # Quantise to float32 so MetaImage round trips are exact.
+        plane[...] = plane.astype(np.float32)
+        labels[k] = tumor
 
     intensity = Volume(data=values)
-    ground_truth = Volume(data=tumor.astype(np.int16), kind=KIND_LABEL)
+    ground_truth = Volume(data=labels, kind=KIND_LABEL)
     return intensity, ground_truth

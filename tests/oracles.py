@@ -508,3 +508,34 @@ def volume_check_reference(data: np.ndarray, kind: str):
         bad = sorted(set(values.tolist()) - {0, 1, 2, 3, 4})
         return f"label volume contains values outside 0..4: {bad}"
     return None
+
+
+def generate_phantom_reference(spec):
+    """``generate_phantom`` as first written: whole-volume broadcasting.
+
+    A dozen full-volume float64 temporaries, each step over the whole grid.
+    Returns the (intensity, label) arrays rather than ``Volume`` objects.
+    """
+    width, height, depth = (int(v) for v in spec.dims)
+
+    z = np.arange(depth, dtype=np.float64)[:, None, None]
+    y = np.arange(height, dtype=np.float64)[None, :, None]
+    x = np.arange(width, dtype=np.float64)[None, None, :]
+
+    bx, by, bz = spec.brain_center
+    rx, ry, rz = spec.brain_radii
+    brain = ((x - bx) / rx) ** 2 + ((y - by) / ry) ** 2 + ((z - bz) / rz) ** 2 <= 1.0
+
+    tx, ty, tz = spec.tumor_center
+    tumor = (x - tx) ** 2 + (y - ty) ** 2 + (z - tz) ** 2 <= spec.tumor_radius**2
+
+    values = np.where(brain, spec.tissue_intensity, 0.0)
+    values = values + np.where(tumor, spec.tumor_offset, 0.0)
+    if spec.noise_sigma > 0:
+        rng = np.random.default_rng(spec.seed)
+        values = values + rng.normal(0.0, spec.noise_sigma, size=values.shape)
+    values = np.where(brain, np.maximum(values, 0.0), 0.0)
+    # Quantise to float32 so MetaImage round trips are exact.
+    values = values.astype(np.float32).astype(np.float64)
+
+    return values, tumor.astype(np.int16)

@@ -114,6 +114,29 @@ class TestPhantomCommand:
         ])
         assert code == 2
 
+    def test_nan_noise_sigma_is_usage_error(self, tmp_path, caplog):
+        out = tmp_path / "x"
+        with caplog.at_level("ERROR"):
+            code = run(["phantom", "--out-dir", str(out), "--noise-sigma", "nan", *SMALL])
+        assert code == 2
+        assert any("noise_sigma must be finite" in rec.getMessage() for rec in caplog.records)
+        assert not list(out.rglob("*"))
+
+    def test_nan_in_spec_file_is_usage_error(self, tmp_path, caplog):
+        from tumorbox.phantom import PhantomSpec
+
+        payload = PhantomSpec().to_dict()
+        payload["tumor_radius"] = float("nan")
+        spec_path = tmp_path / "nan_spec.json"
+        spec_path.write_text(json.dumps(payload))  # written as the bare token NaN
+        assert "NaN" in spec_path.read_text()
+        out = tmp_path / "x"
+        with caplog.at_level("ERROR"):
+            code = run(["phantom", "--out-dir", str(out), "--spec", str(spec_path)])
+        assert code == 2
+        assert any("tumor_radius must be finite" in rec.getMessage() for rec in caplog.records)
+        assert not list(out.rglob("*"))
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_below_one_is_usage_error(self, tmp_path, capsys, count):
         out = tmp_path / "x"

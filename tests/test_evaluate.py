@@ -20,7 +20,7 @@ from tumorbox.evaluate import (
     gt_box,
     read_manifest,
 )
-from tumorbox.mha import write_mha
+from tumorbox.mha import read_mha, write_mha
 from tumorbox.pipeline import BBox, ExtractParams
 from tumorbox.volume import Slice, Volume
 
@@ -288,6 +288,47 @@ class TestEvaluateCohort:
         result = evaluate_cohort(cases, None, RunConfig(method="kmeans", extract=params, loo=True))
         assert result.n == len(phantom_cases)
         assert all(not c.failed for c in result.cases)
+
+    def test_loo_reads_each_ground_truth_once(self, tmp_path, monkeypatch, phantom_cases):
+        man = write_phantom_manifest(tmp_path, phantom_cases[:3])
+        # an empty ground truth and a missing one stay their cases' error rows
+        spec, vol, gt = phantom_cases[3]
+        write_mha(vol, tmp_path / "empty_flair.mha")
+        write_mha(Volume(data=np.zeros_like(gt.data), kind="label"), tmp_path / "empty_gt.mha")
+        write_mha(vol, tmp_path / "ghost_flair.mha")
+        man.write_text(
+            man.read_text()
+            + "empty_flair.mha,empty_gt.mha,Phantom\n"
+            + "ghost_flair.mha,ghost_gt.mha,Phantom\n"
+        )
+        cases = read_manifest(man)
+        reads = []
+
+        def counting_read(path, kind="intensity"):
+            reads.append((path.name, kind))
+            return read_mha(path, kind=kind)
+
+        monkeypatch.setattr(ev, "read_mha", counting_read)
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        results = []
+        for jobs in (1, 2):
+            reads.clear()
+            results.append(
+                evaluate_cohort(cases, None, RunConfig(method="kmeans", extract=params, loo=True, jobs=jobs))
+            )
+            assert sorted(reads) == sorted(
+                [(c.intensity_path.name, "intensity") for c in cases]
+                + [(c.gt_path.name, "label") for c in cases]
+            )
+        one, two = results
+        assert [(c.case_id, c.dice, c.failed, c.bbox_pred, c.bbox_gt) for c in one.cases] == [
+            (c.case_id, c.dice, c.failed, c.bbox_pred, c.bbox_gt) for c in two.cases
+        ]
+        assert one.errors == two.errors
+        assert one.n == 3
+        assert [e.case_id for e in one.errors] == ["empty_flair", "ghost_flair"]
+        assert "marks no tumor" in one.errors[0].message
+        assert "ghost_gt.mha" in one.errors[1].message
 
     def test_loo_needs_two_cases(self, tmp_path, phantom_cases):
         man = write_phantom_manifest(tmp_path, phantom_cases[:1])
