@@ -8,6 +8,7 @@ detected in strict mode, 4 I/O or file-format trouble.
 """
 
 import argparse
+import csv
 import dataclasses
 import json
 import logging
@@ -197,16 +198,17 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    lines = ["case_id,cohort,method,dice,failed,wall_ms"]
+    rows = [("case_id", "cohort", "method", "dice", "failed", "wall_ms")]
     for cohort_result in results:
-        for case in cohort_result.cases:
-            lines.append(
-                f"{case.case_id},{case.cohort},{cohort_result.method},"
-                f"{case.dice:.6f},{int(case.failed)},{case.wall_ms:.0f}"
-            )
-        for err in cohort_result.errors:
-            lines.append(f"{err.case_id},{err.cohort},{cohort_result.method},,error,")
-    _write_text(out_dir / f"results_{cfg.method}.csv", "\n".join(lines) + "\n")
+        method = cohort_result.method
+        rows += [
+            (c.case_id, c.cohort, method, f"{c.dice:.6f}", int(c.failed), f"{c.wall_ms:.0f}")
+            for c in cohort_result.cases
+        ]
+        rows += [(e.case_id, e.cohort, method, "", "error", "") for e in cohort_result.errors]
+    # csv quotes a cohort or case ID that holds a comma, as read_manifest reads it.
+    with atomic_open(out_dir / f"results_{cfg.method}.csv") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
     summary = [r.summary_dict() for r in results]
     _write_json(out_dir / f"summary_{cfg.method}.json", {"cohorts": summary})
@@ -214,13 +216,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_phantom(args) -> int:
-    cfg = _resolve_config(args)
+def _phantom_specs(args, seed: int) -> list[PhantomSpec]:
+    """Every case's spec, each checked as it is built."""
     if args.count < 1:
         raise ConfigurationError(f"--count must be >= 1, got {args.count}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base_spec = load_phantom_spec(args.spec) if args.spec else None
+    radius_lo, radius_hi = args.radius_min, args.radius_max
+    if radius_lo > radius_hi:
+        raise ConfigurationError("--radius-min must not exceed --radius-max")
+    if args.spec:
+        # fixed geometry from the spec file; only the noise seed varies
+        base = load_phantom_spec(args.spec)
+        return [dataclasses.replace(base, seed=base.seed + i) for i in range(args.count)]
     dims = tuple(args.dims)
     width, height, depth = dims
     brain_center = (width / 2, height / 2, depth / 2)
@@ -229,32 +235,35 @@ def cmd_phantom(args) -> int:
         BRAIN_RADII_FRACTIONS[1] * height,
         BRAIN_RADII_FRACTIONS[2] * depth,
     )
-    radius_lo, radius_hi = args.radius_min, args.radius_max
-    if radius_lo > radius_hi:
-        raise ConfigurationError("--radius-min must not exceed --radius-max")
-
-    manifest_lines = ["intensity_path,gt_path,cohort"]
+    specs = []
     for i in range(args.count):
-        if base_spec is not None:
-            # fixed geometry from the spec file; only the noise seed varies
-            spec = dataclasses.replace(base_spec, seed=base_spec.seed + i)
-        else:
-            placement = np.random.default_rng([cfg.seed, i])
-            spec = PhantomSpec(
-                dims=dims,
-                brain_center=brain_center,
-                brain_radii=brain_radii,
-                tumor_center=(
-                    brain_center[0] + placement.uniform(-0.0625, 0.0625) * width,
-                    brain_center[1] + placement.uniform(-0.0625, 0.0625) * height,
-                    brain_center[2] + placement.uniform(-0.03, 0.05) * depth,
-                ),
-                tumor_radius=float(placement.uniform(radius_lo, radius_hi)),
-                tumor_offset=args.offset,
-                tissue_intensity=args.tissue,
-                noise_sigma=args.noise_sigma,
-                seed=cfg.seed + i,
-            )
+        placement = np.random.default_rng([seed, i])
+        specs.append(PhantomSpec(
+            dims=dims,
+            brain_center=brain_center,
+            brain_radii=brain_radii,
+            tumor_center=(
+                brain_center[0] + placement.uniform(-0.0625, 0.0625) * width,
+                brain_center[1] + placement.uniform(-0.0625, 0.0625) * height,
+                brain_center[2] + placement.uniform(-0.03, 0.05) * depth,
+            ),
+            tumor_radius=float(placement.uniform(radius_lo, radius_hi)),
+            tumor_offset=args.offset,
+            tissue_intensity=args.tissue,
+            noise_sigma=args.noise_sigma,
+            seed=seed + i,
+        ))
+    return specs
+
+
+def cmd_phantom(args) -> int:
+    cfg = _resolve_config(args)
+    # A bad spec for any case fails here, before anything is written.
+    specs = _phantom_specs(args, cfg.seed)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_lines = ["intensity_path,gt_path,cohort"]
+    for i, spec in enumerate(specs):
         intensity, ground_truth = generate_phantom(spec)
         stem = f"phantom_{i:03d}"
         write_mha(intensity, out_dir / f"{stem}_flair.mha")
@@ -348,13 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--jobs", type=int, default=None, help="parallel case evaluations")
     p_eval.add_argument("--margin", type=int, default=None)
-    p_eval.add_argument(
-        "--strict",
-        action="store_const",
-        const=True,
-        default=None,
-        help=argparse.SUPPRESS,
-    )
     _add_method(p_eval)
     _add_common(p_eval)
     p_eval.set_defaults(func=cmd_eval)

@@ -24,7 +24,6 @@ turns either result into a label map whose classes are ranked by mean
 intensity, so for k=5 the brightest class is label 5.
 """
 
-import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -35,15 +34,10 @@ import numpy as np
 from .errors import ValidationError
 from .volume import Slice
 
-log = logging.getLogger(__name__)
-
 DEFAULT_SEED = 2015
 
 METHOD_EM = "em"
 METHOD_KMEANS = "kmeans"
-
-INIT_QUANTILE_SPREAD = "quantile-spread"
-INIT_RANDOM_FROM_DATA = "random-from-data"
 
 # Lower bound on mixture variances (normalised-intensity units squared, so
 # fits expect [0, 1] values); keeps components from collapsing onto repeated
@@ -62,7 +56,6 @@ class ClusterConfig:
     tol: float = 1e-6  # relative log-likelihood change for EM convergence
     seed: int = DEFAULT_SEED
     n_restarts: int = 5
-    init: str = INIT_QUANTILE_SPREAD
 
     def __post_init__(self):
         if self.k < 1:
@@ -73,8 +66,6 @@ class ClusterConfig:
             raise ValidationError(f"tol must be > 0, got {self.tol}")
         if self.n_restarts < 1:
             raise ValidationError(f"n_restarts must be >= 1, got {self.n_restarts}")
-        if self.init not in (INIT_QUANTILE_SPREAD, INIT_RANDOM_FROM_DATA):
-            raise ValidationError(f"unknown init strategy: {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -184,21 +175,17 @@ def _quantile_spread(hist: _Histogram, k: int) -> list[float]:
 def _starts(hist: _Histogram, cfg: ClusterConfig) -> list[tuple[int, np.ndarray]]:
     """(restart, initial centers) of every restart, drawn from the pixels.
 
-    Restart 0 uses the configured init; quantile spread puts the centers at
-    the (2i-1)/(2k) quantiles, deterministic and well spread for the
-    unimodal-plus-bump histograms MR slices produce. Later restarts draw
-    random pixels from one RNG stream seeded per fit.
+    Restart 0 is the quantile spread: centers at the (2i-1)/(2k) quantiles,
+    deterministic and well spread for the unimodal-plus-bump histograms MR
+    slices produce. Later restarts draw random pixels from one RNG stream
+    seeded per fit.
     """
     n = hist.inverse.size
     rng = np.random.default_rng(cfg.seed)
-    starts = []
-    for restart in range(cfg.n_restarts):
-        if restart == 0 and cfg.init == INIT_QUANTILE_SPREAD:
-            centers = np.array(_quantile_spread(hist, cfg.k))
-        else:
-            centers = hist.distinct[hist.inverse[rng.choice(n, size=cfg.k, replace=n < cfg.k)]]
-        starts.append((restart, centers))
-    return starts
+    starts = [np.array(_quantile_spread(hist, cfg.k))]
+    for _ in range(1, cfg.n_restarts):
+        starts.append(hist.distinct[hist.inverse[rng.choice(n, size=cfg.k, replace=n < cfg.k)]])
+    return list(enumerate(starts))
 
 
 def _cuts(distinct, ranked):
@@ -328,13 +315,12 @@ def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict | N
 def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
     """Best-of-restarts Lloyd K-means on 1-D data.
 
-    Restart 0 uses the configured initialisation (quantile spread by
-    default); further restarts draw random data points, honouring the random
-    start while keeping the default run deterministic. Starts are read off
-    the histogram exactly as if drawn from the pixels; Lloyd then runs on
-    the distinct values weighted by their counts, which gives the per-pixel
-    result at a cost per iteration that grows with the log of the number of
-    distinct values. A restart that rejoins an earlier restart's path stops
+    Restart 0 starts from the quantile spread, and further restarts draw
+    random data points (see ``_starts``). Starts are read off the histogram
+    exactly as if drawn from the pixels; Lloyd then runs on the distinct
+    values weighted by their counts, which gives the per-pixel result at a
+    cost per iteration that grows with the log of the number of distinct
+    values. A restart that rejoins an earlier restart's path stops
     there (see ``_lloyd``); the earlier one keeps the win. With fewer
     distinct values than k the distinct values become centroids, the
     remainder are duplicates, and the result is flagged degenerate.
@@ -552,8 +538,6 @@ def segment_slice(
         }
     else:
         result = em_gmm_1d(values, cfg)
-        if not result.converged:
-            log.warning("slice %d: EM stopped at max_iter=%d without converging", slc.index, cfg.max_iter)
         raw = hard_assign(result.posteriors) - 1
         fallback_means = result.model.means
         degenerate = False

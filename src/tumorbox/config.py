@@ -8,7 +8,6 @@ dataclass default, and are checked once, when the RunConfig is built.
 
 import dataclasses
 import json
-import types
 import typing
 from dataclasses import dataclass, field, replace
 
@@ -29,10 +28,6 @@ def _check_type(key: str, value, ftype):
     Booleans are not accepted as numbers, ints are accepted (and converted)
     where a float is expected, and a list is accepted for a tuple.
     """
-    if isinstance(ftype, types.UnionType):  # float | None
-        if value is None:
-            return None
-        (ftype,) = [t for t in typing.get_args(ftype) if t is not type(None)]
     if typing.get_origin(ftype) is tuple:
         if isinstance(value, (list, tuple)):
             return tuple(_check_type(key, v, typing.get_args(ftype)[0]) for v in value)

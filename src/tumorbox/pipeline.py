@@ -36,19 +36,19 @@ SELECT_MAX_SLICE = 118
 class ExtractParams:
     """Tumor-map extraction and fusion knobs.
 
-    ``area_max=None`` means half the brain-pixel count of the slice, the
-    relative bound that rejects a whole-brain "component" on bright slices.
-    The safety disk radius is radius_margin times the component's equivalent
+    A component is suitable when its area lies between ``area_min`` and
+    ``area_max_fraction`` of the slice's brain-pixel count; the relative
+    upper bound rejects a whole-brain "component" on bright slices. A map
+    marks a quadrant when the quadrant holds any of its detections. The
+    safety disk radius is radius_margin times the component's equivalent
     radius. ``strict`` drops the no-winning-quadrant fallback: the fused map
     is then empty, which the box step rejects.
     """
 
     area_min: float = 50.0
-    area_max: float | None = None
     area_max_fraction: float = 0.5
     radius_margin: float = 1.5
     vote_threshold: int = 2
-    min_quadrant_pixels: int = 1
     representative_slices: tuple[int, ...] = REPRESENTATIVE_SLICES
     bbox_margin: int = 0
     strict: bool = False
@@ -56,16 +56,12 @@ class ExtractParams:
     def __post_init__(self):
         if self.area_min <= 0:
             raise ValidationError(f"area_min must be > 0, got {self.area_min}")
-        if self.area_max is not None and self.area_max <= self.area_min:
-            raise ValidationError("area_max must exceed area_min")
         if not 0 < self.area_max_fraction <= 1:
             raise ValidationError("area_max_fraction must be in (0, 1]")
         if self.radius_margin < 1:
             raise ValidationError(f"radius_margin must be >= 1, got {self.radius_margin}")
         if self.vote_threshold < 1:
             raise ValidationError(f"vote_threshold must be >= 1, got {self.vote_threshold}")
-        if self.min_quadrant_pixels < 1:
-            raise ValidationError("min_quadrant_pixels must be >= 1")
         if self.bbox_margin < 0:
             raise ValidationError(f"bbox_margin must be >= 0, got {self.bbox_margin}")
         if not self.representative_slices:
@@ -172,10 +168,11 @@ def extract_tumor_map(label_map: LabelMap, params: ExtractParams | None = None) 
     """Reduce a 5-class label map to a binary tumor map.
 
     Cascade: take the largest 8-connected component of class 5; if its area
-    is suitable (area_min..area_max), the map is that component united with
-    the safety disk around its centroid; otherwise retry with class 4; if
-    neither class yields a suitable component the map is black, which simply
-    means no tumor was detected in this slice.
+    is suitable (from area_min up to area_max_fraction of the slice's brain
+    pixels), the map is that component united with the safety disk around
+    its centroid; otherwise retry with class 4; if neither class yields a
+    suitable component the map is black, which simply means no tumor was
+    detected in this slice.
     """
     params = params or ExtractParams()
     if label_map.k != 5:
@@ -183,12 +180,7 @@ def extract_tumor_map(label_map: LabelMap, params: ExtractParams | None = None) 
             f"tumor map extraction expects 5 classes, label map has k={label_map.k}"
         )
     labels = label_map.labels
-    brain_pixels = int((labels > 0).sum())
-    area_max = (
-        params.area_max
-        if params.area_max is not None
-        else params.area_max_fraction * brain_pixels
-    )
+    area_max = params.area_max_fraction * int((labels > 0).sum())
 
     for cls in (5, 4):
         comps = connected_components(labels == cls, connectivity=8)
@@ -228,13 +220,10 @@ def _check_same_dims(maps: Iterable[TumorMap]) -> tuple[int, int]:
     return shapes.pop()
 
 
-def quadrant_marks(tumor_map: TumorMap, min_pixels: int = 1) -> tuple[bool, bool, bool, bool]:
-    """Which quadrants this map marks with at least ``min_pixels`` detections."""
+def quadrant_marks(tumor_map: TumorMap) -> tuple[bool, bool, bool, bool]:
+    """Which quadrants hold at least one of this map's detections."""
     quadrants = _quadrant_slices(tumor_map.height, tumor_map.width)
-    return tuple(
-        int(np.count_nonzero(tumor_map.mask[rows, cols])) >= min_pixels
-        for rows, cols in quadrants
-    )
+    return tuple(int(np.count_nonzero(tumor_map.mask[rows, cols])) > 0 for rows, cols in quadrants)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +247,7 @@ def fuse_maps(maps: list[TumorMap], params: ExtractParams | None = None) -> Fuse
     if not maps:
         raise ValidationError("fuse_maps needs at least one map")
     height, width = _check_same_dims(maps)
-    marks = tuple(quadrant_marks(m, params.min_quadrant_pixels) for m in maps)
+    marks = tuple(quadrant_marks(m) for m in maps)
     votes = tuple(sum(column) for column in zip(*marks))
     winners = tuple(q + 1 for q in range(4) if votes[q] >= params.vote_threshold)
 

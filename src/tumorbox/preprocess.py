@@ -2,9 +2,9 @@
 atlas, and the atlas-guided threshold-gated contrast enhancement.
 
 The location atlas for slice n counts, per pixel, how many training patients
-had tumor there. Pixels with a count of at least ``atlas_min_count`` are the
-"likely tumor" pixels whose contrast gets stretched around the brain-mean
-threshold; everything else in the brain is dimmed.
+had tumor there. Pixels with a non-zero count, tumor in at least one training
+patient, are the "likely tumor" pixels whose contrast gets stretched around
+the brain-mean threshold; everything else in the brain is dimmed.
 """
 
 import json
@@ -23,21 +23,19 @@ class EnhanceParams:
 
     gain_up brightens likely-tumor pixels above the slice threshold,
     gain_down dims likely-tumor pixels below it as well as all other brain
-    pixels. Magnitudes are artifact choices; defaults keep one application
-    from saturating mid-range pixels.
+    pixels. Likely-tumor pixels are those with a non-zero atlas count.
+    Magnitudes are artifact choices; defaults keep one application from
+    saturating mid-range pixels.
     """
 
     gain_up: float = 1.25
     gain_down: float = 0.8
-    atlas_min_count: int = 1
 
     def __post_init__(self):
         if self.gain_up <= 1:
             raise ValidationError(f"gain_up must be > 1, got {self.gain_up}")
         if not 0 < self.gain_down < 1:
             raise ValidationError(f"gain_down must be in (0, 1), got {self.gain_down}")
-        if self.atlas_min_count < 1:
-            raise ValidationError(f"atlas_min_count must be >= 1, got {self.atlas_min_count}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,10 +120,10 @@ def build_atlas(gt_slices: list[Slice]) -> Atlas:
 def enhance_contrast(slc: Slice, atlas: Atlas, params: EnhanceParams | None = None) -> Slice:
     """Stretch likely-tumor contrast around the slice's brain-mean threshold.
 
-    Likely-tumor pixels (atlas count >= atlas_min_count) above the threshold
-    are multiplied by gain_up, those at or below it by gain_down; remaining
-    brain pixels are dimmed by gain_down; the zero background is untouched.
-    Output is clamped to [0, 1].
+    Likely-tumor pixels (atlas count > 0) above the threshold are multiplied
+    by gain_up, those at or below it by gain_down; remaining brain pixels are
+    dimmed by gain_down; the zero background is untouched. Output is clamped
+    to [0, 1].
     """
     params = params or EnhanceParams()
     if (atlas.height, atlas.width) != slc.data.shape:
@@ -138,7 +136,7 @@ def enhance_contrast(slc: Slice, atlas: Atlas, params: EnhanceParams | None = No
         )
     values = slc.data
     threshold = brain_threshold(slc)
-    likely = atlas.counts >= params.atlas_min_count
+    likely = atlas.counts > 0
     out = np.where(values > 0, values * params.gain_down, 0.0)
     out = np.where(likely & (values > threshold), values * params.gain_up, out)
     np.clip(out, 0.0, 1.0, out=out)
@@ -165,6 +163,8 @@ def load_atlas(path) -> Atlas:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"malformed atlas file {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"atlas file {path} must hold a JSON object")
     try:
         width = int(payload["width"])
         height = int(payload["height"])
@@ -176,5 +176,5 @@ def load_atlas(path) -> Atlas:
         )
     except KeyError as exc:
         raise FormatError(f"atlas file {path} missing field {exc.args[0]!r}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"atlas file {path} has malformed data: {exc}") from exc

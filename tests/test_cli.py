@@ -1,10 +1,14 @@
+import csv
+import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tumorbox.cli import main
+from tumorbox.config import _NESTED, _TOP_LEVEL, build_run_config
 from tumorbox.mha import write_mha
 from tumorbox.volume import Volume
 
@@ -136,6 +140,15 @@ class TestPhantomCommand:
         assert code == 2
         assert any("tumor_radius must be finite" in rec.getMessage() for rec in caplog.records)
         assert not list(out.rglob("*"))
+
+    def test_bad_placement_of_a_later_case_writes_nothing(self, tmp_path, caplog):
+        argv = ["phantom", "--seed", "2", "--dims", "24", "24", "12", "--radius-min", "2", "--radius-max", "5.5"]
+        assert run([*argv, "--out-dir", str(tmp_path / "one"), "--count", "1"]) == 0  # case 0 fits
+        out = tmp_path / "d"
+        with caplog.at_level("ERROR"):
+            assert run([*argv, "--out-dir", str(out), "--count", "6"]) == 2
+        assert "not strictly inside the brain ellipsoid" in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_below_one_is_usage_error(self, tmp_path, capsys, count):
@@ -630,6 +643,37 @@ class TestEval:
             outs.append(out)
         assert (outs[0] / "summary_kmeans.json").read_bytes() == (outs[1] / "summary_kmeans.json").read_bytes()
 
+    def test_csv_round_trips_fields_with_commas(self, phantom_dir, atlas_dir, tmp_path, capsys):
+        manifest = phantom_dir / "quoted.csv"
+        manifest.write_text(
+            "intensity_path,gt_path,cohort\n"
+            'phantom_000_flair.mha,phantom_000_gt.mha,"HGG, site A"\n'
+            '"gone, 9_flair.mha",gone_gt.mha,"HGG, site A"\n'
+            "phantom_001_flair.mha,phantom_001_gt.mha,LGG\n"
+        )
+        out = tmp_path / "results"
+        code = run([
+            "eval", "--manifest", str(manifest), "--atlas-dir", str(atlas_dir),
+            "--out-dir", str(out), "--slices", SMALL_SLICES, "--method", "kmeans",
+        ])
+        assert code == 0
+        capsys.readouterr()
+        text = (out / "results_kmeans.csv").read_text()
+        with open(out / "results_kmeans.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["case_id", "cohort", "method", "dice", "failed", "wall_ms"]
+        assert [r[:3] for r in rows[1:]] == [
+            ["phantom_000_flair", "HGG, site A", "kmeans"],
+            ["gone, 9_flair", "HGG, site A", "kmeans"],
+            ["phantom_001_flair", "LGG", "kmeans"],
+        ]
+        assert rows[2][3:] == ["", "error", ""]
+        for row in (rows[1], rows[3]):
+            assert 0.0 <= float(row[3]) <= 1.0 and row[4] in ("0", "1") and row[5].isdigit()
+        # fields without a comma are written as before, unquoted
+        assert '\n"gone, 9_flair","HGG, site A",kmeans,,error,\n' in text
+        assert f"\nphantom_001_flair,LGG,kmeans,{rows[3][3]}," in text
+
 
 class TestSelectSlices:
     def test_prints_ranked_slices(self, phantom_dir, capsys):
@@ -742,3 +786,77 @@ class TestConfigValidation:
         assert code == 2
         assert not list(tmp_path.rglob("results_*.csv"))
         assert any(key in rec.getMessage() for rec in caplog.records)
+
+
+class TestConfigSurface:
+    REMOVED = [
+        ("cluster", "init", "quantile-spread"),
+        ("extract", "area_max", None),
+        ("extract", "min_quadrant_pixels", 1),
+        ("enhance", "atlas_min_count", 1),
+    ]
+
+    def test_nineteen_settable_keys(self):
+        nested = {
+            f"{section}.{f.name}"
+            for section, cls in _NESTED.items()
+            for f in dataclasses.fields(cls)
+            if f.name not in _TOP_LEVEL
+        }
+        assert sorted(_TOP_LEVEL) == [
+            "cluster_background", "dice_formula", "jobs", "loo", "method", "seed", "strict",
+        ]
+        assert sorted(nested) == [
+            "cluster.k", "cluster.max_iter", "cluster.n_restarts", "cluster.tol",
+            "enhance.gain_down", "enhance.gain_up",
+            "extract.area_max_fraction", "extract.area_min", "extract.bbox_margin",
+            "extract.radius_margin", "extract.representative_slices", "extract.vote_threshold",
+        ]
+        assert len(_TOP_LEVEL) + len(nested) == 19
+
+    def test_readme_config_block_is_the_defaults_and_names_every_nested_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        payload = json.loads(block)
+        assert build_run_config(payload) == build_run_config()
+        for section, cls in _NESTED.items():
+            assert set(payload[section]) == {f.name for f in dataclasses.fields(cls)} - _TOP_LEVEL
+
+    @pytest.mark.parametrize("section, key, value", REMOVED, ids=[f"{s}.{k}" for s, k, _ in REMOVED])
+    def test_removed_key_is_unknown(self, tmp_path, caplog, section, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        with caplog.at_level("ERROR"):
+            code = run([
+                "eval", "--manifest", str(tmp_path / "absent.csv"),  # never read: exit 2, not 4
+                "--out-dir", str(tmp_path / "out"), "--loo", "--config", str(cfg),
+            ])
+        assert code == 2
+        assert f"unknown {section} config key(s): {key}" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_has_no_strict_flag(self, tmp_path, capsys):
+        code = run(["eval", "--manifest", "m.csv", "--out-dir", str(tmp_path / "out"), "--strict"])
+        assert code == 2
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
+    def test_strict_key_reaches_eval(self, phantom_dir, atlas_dir, tmp_path, monkeypatch, capsys):
+        import tumorbox.evaluate as ev
+
+        seen = []
+        real = ev.run_pipeline
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["params"].strict)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "run_pipeline", spy)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strict": True}))
+        code = run([
+            "eval", "--manifest", str(phantom_dir / "manifest.csv"), "--atlas-dir", str(atlas_dir),
+            "--out-dir", str(tmp_path / "out"), "--slices", SMALL_SLICES, "--method", "kmeans",
+            "--config", str(cfg),
+        ])
+        assert code == 0
+        assert seen == [True, True, True]

@@ -122,8 +122,7 @@ class TestKMeans:
 def assert_matches_pixel_lloyd(values, cfg):
     res = kmeans_1d(values, cfg)
     centroids, assign, objective, n_iter, best_restart, degenerate = kmeans_pixel_lloyd(
-        values, cfg.k, cfg.seed, cfg.n_restarts, cfg.max_iter,
-        random_first=cfg.init == "random-from-data",
+        values, cfg.k, cfg.seed, cfg.n_restarts, cfg.max_iter
     )
     assert np.array_equal(res.assignment, assign)
     assert (res.n_iter, res.best_restart, res.degenerate) == (n_iter, best_restart, degenerate)
@@ -147,12 +146,11 @@ def heavy_repeat_values(rng):
 class TestKMeansMatchesPixelLloyd:
     """Lloyd over weighted distinct values reproduces Lloyd over every pixel."""
 
-    @pytest.mark.parametrize("init", ["quantile-spread", "random-from-data"])
     @pytest.mark.parametrize("k", [2, 3, 5, 7])
-    def test_integer_values_with_heavy_repeats(self, k, init):
+    def test_integer_values_with_heavy_repeats(self, k):
         rng = np.random.default_rng(300 + k)
         for trial in range(8):
-            assert_matches_pixel_lloyd(heavy_repeat_values(rng), ClusterConfig(k=k, seed=trial, init=init))
+            assert_matches_pixel_lloyd(heavy_repeat_values(rng), ClusterConfig(k=k, seed=trial))
 
     @pytest.mark.parametrize("case", range(5))
     def test_enhanced_phantom_slices(self, case, phantom_cases, phantom_atlases):
@@ -172,10 +170,11 @@ class TestKMeansMatchesPixelLloyd:
         # Almost every pixel is 5, so random starts draw 5 three times: two
         # clusters come up empty and the repair must choose between 10 and
         # 0, both at distance 5. Pixel order puts 10 first, value order 0.
+        # Restarts 1-4 are the four random draws of seed 0.
         values = np.array([10.0, 0.0] + [5.0] * 98)
-        cfg = ClusterConfig(k=3, seed=0, n_restarts=4, init="random-from-data")
+        cfg = ClusterConfig(k=3, seed=0, n_restarts=5)
         rng = np.random.default_rng(cfg.seed)
-        drawn = [values[rng.choice(values.size, size=3, replace=False)] for _ in range(cfg.n_restarts)]
+        drawn = [values[rng.choice(values.size, size=3, replace=False)] for _ in range(cfg.n_restarts - 1)]
         assert any(np.all(d == 5.0) for d in drawn)
         assert_matches_pixel_lloyd(values, cfg)
 
@@ -313,17 +312,21 @@ class TestLloydMatchesReference:
         # indices, so it rejoins wherever the first run stayed ordinary.
         assert_lloyd_matches_reference(_histogram(distinct), [centers.tolist(), centers[::-1].tolist()], max_iter)
 
-    @pytest.mark.parametrize("init", ["quantile-spread", "random-from-data"])
+    @pytest.mark.parametrize("first", ["quantile-spread", "random-from-data"])
     @pytest.mark.parametrize("k", [2, 3, 5, 7])
-    def test_integer_values_with_heavy_repeats(self, k, init):
+    def test_integer_values_with_heavy_repeats(self, k, first):
         # The data of TestKMeansMatchesPixelLloyd: random starts draw one
         # value twice (the repair) and integer centers put midpoints on
-        # values (the exact path).
+        # values (the exact path). Eight starts: restarts 0-7, led by the
+        # quantile spread, or the random restarts 1-8 alone, so that a
+        # random start also builds the rejoin table first.
         rng = np.random.default_rng(300 + k)
         for trial in range(8):
             hist = _histogram(heavy_repeat_values(rng))
-            cfg = ClusterConfig(k=k, seed=trial, init=init, n_restarts=8)
-            assert_lloyd_matches_reference(hist, [c.tolist() for _, c in _starts(hist, cfg)], cfg.max_iter)
+            cfg = ClusterConfig(k=k, seed=trial, n_restarts=9)
+            starts = _starts(hist, cfg)
+            starts = starts[:8] if first == "quantile-spread" else starts[1:]
+            assert_lloyd_matches_reference(hist, [c.tolist() for _, c in starts], cfg.max_iter)
 
     def test_enhanced_phantom_slices_rejoin(self, phantom_cases, phantom_atlases):
         from tumorbox.preprocess import enhance_contrast, normalize
@@ -634,17 +637,16 @@ class TestSegmentSlice:
             segment_slice(make_slice(np.ones((2, 2))), "ward")
 
     def test_em_hitting_max_iter_logs_warning_with_slice(self, caplog):
+        # The fit reports the unconverged slice; the one warning per case
+        # is evaluate.log_unconverged's, so segment_slice logs nothing.
         rng = np.random.default_rng(5)
         spread = rng.random((24, 24)) + 0.05
         modes = rng.normal(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9], (24, 24)), 0.02)
-        with caplog.at_level(logging.WARNING, logger="tumorbox.clustering"):
-            segment_slice(make_slice(spread, index=7), "em", ClusterConfig(max_iter=2))
-            assert [r.getMessage() for r in caplog.records] == [
-                "slice 7: EM stopped at max_iter=2 without converging"
-            ]
-            caplog.clear()
-            segment_slice(make_slice(modes, index=7), "em")
-            assert caplog.records == []
+        with caplog.at_level(logging.DEBUG):
+            capped = segment_slice(make_slice(spread, index=7), "em", ClusterConfig(max_iter=2))
+            assert capped.fit["converged"] is False
+            assert segment_slice(make_slice(modes, index=7), "em").fit["converged"] is True
+        assert caplog.records == []
 
     def test_em_labels_same_for_any_blas_thread_count(self, tmp_path):
         # The E- and M-steps are BLAS products; the label map must not
@@ -680,5 +682,3 @@ class TestConfig:
             ClusterConfig(tol=0.0)
         with pytest.raises(ValidationError):
             ClusterConfig(n_restarts=0)
-        with pytest.raises(ValidationError):
-            ClusterConfig(init="magic")

@@ -45,10 +45,10 @@ def blob_mask(shape, row, col, size):
 
 class TestExtractTumorMap:
     def test_suitable_class5_blob_gets_component_and_disk(self):
-        labels = np.zeros((30, 30), dtype=np.int32)
+        labels = np.ones((30, 30), dtype=np.int32)  # 900 brain pixels
         labels[10:12, 10:15] = 5  # 10-pixel blob
         lm = label_map_from(labels)
-        params = ExtractParams(area_min=5, area_max=1000, radius_margin=1.0)
+        params = ExtractParams(area_min=5, radius_margin=1.0)
         out = extract_tumor_map(lm, params)
         assert out.used_class == 5
         assert np.all(out.mask[labels == 5])
@@ -236,9 +236,8 @@ class TestFuseMaps:
     def test_marks_are_per_map_and_sum_to_votes(self):
         rng = np.random.default_rng(78)
         maps = [tumor_map_from(rng.random((9, 7)) < 0.05, i) for i in range(6)]
-        params = ExtractParams(min_quadrant_pixels=2)
-        fused = fuse_maps(maps, params)
-        assert fused.marks == tuple(pipeline.quadrant_marks(m, 2) for m in maps)
+        fused = fuse_maps(maps)
+        assert fused.marks == tuple(pipeline.quadrant_marks(m) for m in maps)
         assert fused.votes == tuple(int(v) for v in np.sum(fused.marks, axis=0))
 
     def test_spurious_lone_detection_excluded(self):
@@ -370,9 +369,9 @@ class TestRunPipeline:
         calls = []
         real = pipeline.quadrant_marks
 
-        def spy(tumor_map, min_pixels=1):
+        def spy(tumor_map):
             calls.append(tumor_map.slice_index)
-            return real(tumor_map, min_pixels)
+            return real(tumor_map)
 
         monkeypatch.setattr(pipeline, "quadrant_marks", spy)
         spec, vol, gt = phantom_cases[0]
@@ -477,8 +476,6 @@ class TestExtractParamsValidation:
     def test_bounds(self):
         with pytest.raises(ValidationError):
             ExtractParams(area_min=0)
-        with pytest.raises(ValidationError):
-            ExtractParams(area_min=10, area_max=5)
         with pytest.raises(ValidationError):
             ExtractParams(radius_margin=0.5)
         with pytest.raises(ValidationError):

@@ -143,7 +143,7 @@ class TestEnhanceContrast:
         data[0] = 0.0
         counts = (rng.random((10, 10)) > 0.4).astype(np.int32) * 2
         atlas = Atlas(slice_index=4, num_patients=2, counts=counts)
-        params = EnhanceParams(gain_up=1.25, gain_down=0.8, atlas_min_count=1)
+        params = EnhanceParams(gain_up=1.25, gain_down=0.8)
         out = enhance_contrast(make_slice(data, index=4), atlas, params)
         expected = enhance_loop(data, counts, 1, 1.25, 0.8)
         assert np.allclose(out.data, expected, atol=1e-15)
@@ -188,8 +188,6 @@ class TestEnhanceContrast:
             EnhanceParams(gain_up=0.9)
         with pytest.raises(ValidationError):
             EnhanceParams(gain_down=1.2)
-        with pytest.raises(ValidationError):
-            EnhanceParams(atlas_min_count=0)
 
 
 class TestAtlasIO:
@@ -237,6 +235,16 @@ class TestAtlasIO:
         path = tmp_path / "missing.json"
         path.write_text('{"slice_index": 1, "width": 2, "height": 1, "counts": [1, 0]}')
         with pytest.raises(FormatError, match="num_patients"):
+            load_atlas(path)
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"slice_index": 1, "width": null, "height": 1, "num_patients": 1, "counts": [1, 0]}',
+    ], ids=["array", "null-width"])
+    def test_wrong_json_shape_is_format_error(self, tmp_path, text):
+        path = tmp_path / "odd.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=str(path)):
             load_atlas(path)
 
     def test_six_atlases_from_five_phantoms_round_trip_against_oracle(self, tmp_path, phantom_cases):
