@@ -83,7 +83,7 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _atlas_filename(slice_index: int) -> str:
-    return f"atlas_slice_{slice_index:03d}.json"
+    return f"atlas_slice_{slice_index:03d}.npz"
 
 
 def _load_atlases(atlas_dir: Path, rep_slices) -> dict:
@@ -91,6 +91,11 @@ def _load_atlases(atlas_dir: Path, rep_slices) -> dict:
     for n in rep_slices:
         path = atlas_dir / _atlas_filename(n)
         if not path.exists():
+            if path.with_suffix(".json").exists():
+                raise ConfigurationError(
+                    f"{path.with_suffix('.json')} is a JSON atlas, which is no longer "
+                    f"read; run `tumorbox atlas build` again to write {path.name}"
+                )
             raise ConfigurationError(
                 f"missing atlas for representative slice {n}: {path}"
             )

@@ -8,6 +8,7 @@ dataclass default, and are checked once, when the RunConfig is built.
 
 import dataclasses
 import json
+import sys
 import typing
 from dataclasses import dataclass, field, replace
 
@@ -26,7 +27,8 @@ def _check_type(key: str, value, ftype):
     """Return ``value`` if it fits the field annotation ``ftype``, else raise.
 
     Booleans are not accepted as numbers, ints are accepted (and converted)
-    where a float is expected, and a list is accepted for a tuple.
+    where a float is expected, NaN and infinities are not, and a list is
+    accepted for a tuple.
     """
     if typing.get_origin(ftype) is tuple:
         if isinstance(value, (list, tuple)):
@@ -34,8 +36,11 @@ def _check_type(key: str, value, ftype):
         expected = f"a list of {typing.get_args(ftype)[0].__name__}"
     elif ftype is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        expected = "a number"
+            if abs(value) <= sys.float_info.max:  # not NaN, an infinity or a huge int
+                return float(value)
+            expected = "a finite number"
+        else:
+            expected = "a number"
     else:
         if isinstance(value, ftype) and not (ftype is int and isinstance(value, bool)):
             return value

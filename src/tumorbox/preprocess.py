@@ -5,9 +5,11 @@ The location atlas for slice n counts, per pixel, how many training patients
 had tumor there. Pixels with a non-zero count, tumor in at least one training
 patient, are the "likely tumor" pixels whose contrast gets stretched around
 the brain-mean threshold; everything else in the brain is dimmed.
+
+Atlases are stored as uncompressed ``.npz`` files (see ``save_atlas``).
 """
 
-import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +17,9 @@ import numpy as np
 from .atomic import atomic_open
 from .errors import FormatError, ValidationError
 from .volume import Slice
+
+# The members of a saved atlas and the ndim of each.
+_ATLAS_NDIM = {"counts": 2, "num_patients": 0, "slice_index": 0}
 
 
 @dataclass(frozen=True)
@@ -144,37 +149,49 @@ def enhance_contrast(slc: Slice, atlas: Atlas, params: EnhanceParams | None = No
 
 
 def save_atlas(atlas: Atlas, path) -> None:
-    """Write ``atlas`` as JSON; the write is atomic."""
-    payload = {
-        "slice_index": atlas.slice_index,
-        "width": atlas.width,
-        "height": atlas.height,
-        "num_patients": atlas.num_patients,
-        "counts": atlas.counts.reshape(-1).tolist(),
+    """Write ``atlas`` atomically as an uncompressed ``.npz`` of the members
+    ``counts`` (int32, H x W), ``num_patients`` and ``slice_index`` (integer
+    scalars). Each member carries the zip format's fixed default date,
+    1980-01-01, so an atlas always gives the same bytes; ``np.savez`` would
+    stamp the current time.
+    """
+    members = {
+        "counts": atlas.counts.astype(np.int32, copy=False),
+        "num_patients": np.array(atlas.num_patients, dtype=np.int64),
+        "slice_index": np.array(atlas.slice_index, dtype=np.int64),
     }
-    with atomic_open(path) as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    with atomic_open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+        for name, array in members.items():
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w") as member:
+                np.lib.format.write_array(member, array, allow_pickle=False)
 
 
 def load_atlas(path) -> Atlas:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"malformed atlas file {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"atlas file {path} must hold a JSON object")
+    """Read an atlas written by :func:`save_atlas`.
+
+    Anything but an ``.npz`` of exactly those three members, with integer
+    dtypes, 2-D counts and scalar metadata, raises FormatError naming the
+    path; counts outside 0..num_patients raise ValidationError.
+    """
     try:
-        width = int(payload["width"])
-        height = int(payload["height"])
-        counts = np.asarray(payload["counts"], dtype=np.int32).reshape(height, width)
-        return Atlas(
-            slice_index=int(payload["slice_index"]),
-            num_patients=int(payload["num_patients"]),
-            counts=counts,
-        )
-    except KeyError as exc:
-        raise FormatError(f"atlas file {path} missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"atlas file {path} has malformed data: {exc}") from exc
+        archive = np.load(path, allow_pickle=False)
+        if isinstance(archive, np.ndarray):
+            raise FormatError(f"atlas file {path} is a bare .npy array, not an .npz archive")
+        with archive:
+            if sorted(archive.files) != sorted(_ATLAS_NDIM):
+                raise FormatError(
+                    f"atlas file {path} must hold exactly {sorted(_ATLAS_NDIM)}, not {sorted(archive.files)}"
+                )
+            members = {name: archive[name] for name in _ATLAS_NDIM}
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"malformed atlas file {path}: {exc}") from exc
+    for name, ndim in _ATLAS_NDIM.items():
+        value = members[name]
+        if not (isinstance(value, np.ndarray) and value.ndim == ndim and value.dtype.kind in "iu"):
+            expected = "an integer scalar" if ndim == 0 else f"a {ndim}-D integer array"
+            raise FormatError(f"atlas file {path}: {name} must be {expected}")
+    return Atlas(
+        slice_index=int(members["slice_index"]),
+        num_patients=int(members["num_patients"]),
+        counts=members["counts"],
+    )

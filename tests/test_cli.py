@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tumorbox.cli import main
+from tumorbox.cli import _atlas_filename, main
 from tumorbox.config import _NESTED, _TOP_LEVEL, build_run_config
+from tumorbox.errors import ConfigurationError
 from tumorbox.mha import write_mha
 from tumorbox.volume import Volume
 
@@ -36,7 +37,7 @@ def assert_debug_dump_is_fresh_fit(debug, volume_path, atlas_dir, method, backgr
         f"debug_slice_{n:03d}.json" for n in SLICE_INDICES
     ]
     for n in SLICE_INDICES:
-        atlas = load_atlas(atlas_dir / f"atlas_slice_{n:03d}.json")
+        atlas = load_atlas(atlas_dir / _atlas_filename(n))
         enhanced = enhance_contrast(normalize(extract_slice(volume, n)), atlas)
         expected = segmentation_fit(enhanced, method, ClusterConfig(), background)
         assert "empty" not in expected
@@ -184,9 +185,25 @@ class TestPhantomCommand:
 class TestAtlasBuild:
     def test_builds_six_files(self, atlas_dir, capsys):
         files = sorted(p.name for p in atlas_dir.iterdir())
-        assert files == [f"atlas_slice_{n:03d}.json" for n in (10, 11, 12, 13, 14, 15)]
-        payload = json.loads((atlas_dir / "atlas_slice_012.json").read_text())
-        assert payload["num_patients"] == 3
+        assert files == [f"atlas_slice_{n:03d}.npz" for n in (10, 11, 12, 13, 14, 15)]
+        with np.load(atlas_dir / _atlas_filename(12), allow_pickle=False) as archive:
+            assert int(archive["num_patients"]) == 3
+            assert int(archive["slice_index"]) == 12
+            assert archive["counts"].shape == (48, 48)
+
+    def test_two_builds_are_byte_identical(self, atlas_dir, phantom_dir, tmp_path, monkeypatch, capsys):
+        import time
+
+        real_time = time.time
+        monkeypatch.setattr(time, "time", lambda: real_time() + 86400 * 400)
+        again = tmp_path / "again"
+        assert run([
+            "atlas", "build", "--manifest", str(phantom_dir / "manifest.csv"),
+            "--out-dir", str(again), "--slices", SMALL_SLICES,
+        ]) == 0
+        first = file_hashes(sorted(atlas_dir.iterdir()))
+        assert len(first) == 6
+        assert file_hashes(sorted(again.iterdir())) == first
 
     def test_single_gt_atlas_equals_binary_mask(self, tmp_path, phantom_dir):
         import numpy as np
@@ -200,11 +217,11 @@ class TestAtlasBuild:
         )
         out = tmp_path / "single"
         assert run(["atlas", "build", "--manifest", str(man), "--out-dir", str(out), "--slices", "12"]) == 0
-        payload = json.loads((out / "atlas_slice_012.json").read_text())
+        with np.load(out / _atlas_filename(12), allow_pickle=False) as archive:
+            got, num_patients = archive["counts"], int(archive["num_patients"])
         gt = read_mha(phantom_dir / "phantom_000_gt.mha", kind="label")
         mask = (extract_slice(gt, 12).data != 0).astype(int)
-        got = np.asarray(payload["counts"]).reshape(payload["height"], payload["width"])
-        assert payload["num_patients"] == 1
+        assert num_patients == 1
         assert np.array_equal(got, mask)
 
     def test_missing_manifest_is_io_error(self, tmp_path):
@@ -242,7 +259,7 @@ class TestAtlasBuild:
             ])
         assert code == 2
         assert_shallow_gt_logged(caplog, gt_path)
-        assert not list(tmp_path.rglob("atlas_slice_*.json"))
+        assert not list(tmp_path.rglob("atlas_slice_*"))
 
 
 class TestExtract:
@@ -326,7 +343,7 @@ class TestExtract:
         assert "warning" in payload
 
     def test_missing_atlas_names_slice(self, phantom_dir, atlas_dir, caplog):
-        (atlas_dir / "atlas_slice_012.json").unlink()
+        (atlas_dir / _atlas_filename(12)).unlink()
         with caplog.at_level("ERROR"):
             code = run([
                 "extract",
@@ -335,7 +352,32 @@ class TestExtract:
                 "--slices", SMALL_SLICES,
             ])
         assert code == 2
-        assert any("12" in rec.message for rec in caplog.records)
+        assert f"missing atlas for representative slice 12: {atlas_dir / _atlas_filename(12)}" in caplog.text
+
+    def test_json_atlas_dir_asks_for_rebuild(self, phantom_dir, atlas_dir, caplog, capsys):
+        from tumorbox.preprocess import load_atlas
+
+        # the atlas directory as earlier versions wrote it
+        for n in SLICE_INDICES:
+            path = atlas_dir / _atlas_filename(n)
+            atlas = load_atlas(path)
+            payload = {
+                "counts": atlas.counts.reshape(-1).tolist(), "height": atlas.height,
+                "num_patients": atlas.num_patients, "slice_index": n, "width": atlas.width,
+            }
+            path.with_suffix(".json").write_text(json.dumps(payload, sort_keys=True) + "\n")
+            path.unlink()
+        with caplog.at_level("ERROR"):
+            code = run([
+                "extract",
+                "--volume", str(phantom_dir / "phantom_000_flair.mha"),
+                "--atlas-dir", str(atlas_dir),
+                "--slices", SMALL_SLICES,
+            ])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert f"{atlas_dir / 'atlas_slice_010.json'} is a JSON atlas, which is no longer read" in caplog.text
+        assert "run `tumorbox atlas build` again to write atlas_slice_010.npz" in caplog.text
 
     def test_debug_dump(self, phantom_dir, atlas_dir, tmp_path, capsys):
         debug = tmp_path / "debug"
@@ -786,6 +828,35 @@ class TestConfigValidation:
         assert code == 2
         assert not list(tmp_path.rglob("results_*.csv"))
         assert any(key in rec.getMessage() for rec in caplog.records)
+
+    @pytest.mark.parametrize("file_cfg, key", [
+        ({"cluster": {"tol": float("nan")}}, "cluster.tol"),
+        ({"extract": {"radius_margin": float("inf")}}, "extract.radius_margin"),
+        ({"extract": {"area_min": float("inf")}}, "extract.area_min"),
+        ({"enhance": {"gain_up": float("nan")}}, "enhance.gain_up"),
+        ({"enhance": {"gain_down": -float("inf")}}, "enhance.gain_down"),
+        ({"cluster": {"tol": 10**400}}, "cluster.tol"),
+    ], ids=["nan-tol", "inf-radius-margin", "inf-area-min", "nan-gain-up", "neg-inf-gain-down", "huge-int-tol"])
+    def test_non_finite_number_is_rejected(self, file_cfg, key):
+        with pytest.raises(ConfigurationError, match=f"config key '{key}' must be a finite number"):
+            build_run_config(file_cfg)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"cluster": {"tol": NaN}}', "cluster.tol"),
+        ('{"extract": {"radius_margin": Infinity}}', "extract.radius_margin"),
+        ('{"enhance": {"gain_down": -Infinity}}', "enhance.gain_down"),
+    ], ids=["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_in_config_file_exits_2(self, tmp_path, caplog, text, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        with caplog.at_level("ERROR"):
+            code = run([
+                "eval", "--manifest", str(tmp_path / "absent.csv"),  # never read: exit 2, not 4
+                "--out-dir", str(tmp_path / "out"), "--loo", "--config", str(cfg),
+            ])
+        assert code == 2
+        assert f"config key '{key}' must be a finite number" in caplog.text
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigSurface:

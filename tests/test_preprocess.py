@@ -1,4 +1,6 @@
-import json
+import io
+import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from oracles import atlas_counts_loop, brain_mean_loop, enhance_loop, normalize_loop
 from conftest import make_slice
 
+from tumorbox.cli import _atlas_filename
 from tumorbox.errors import FormatError, ValidationError
 from tumorbox.preprocess import (
     Atlas,
@@ -190,50 +193,135 @@ class TestEnhanceContrast:
             EnhanceParams(gain_down=1.2)
 
 
+def write_npz(path, **members):
+    """An .npz holding ``members`` as np.savez writes it."""
+    np.savez(path, **members)
+    return path
+
+
+# Writers of files that are not an atlas as save_atlas writes it.
+MALFORMED_ATLASES = {
+    "empty": lambda p: p.write_bytes(b""),
+    "truncated": lambda p: p.write_bytes(saved_atlas_bytes(p)[:200]),
+    "bare-npy": lambda p: p.write_bytes(npy_bytes(np.zeros((2, 2), dtype=np.int32))),
+    "text": lambda p: p.write_text("slice_index,num_patients\n1,2\n"),
+    "object-counts": lambda p: write_npz(
+        p, counts=np.array([[1, None]], dtype=object), num_patients=1, slice_index=1
+    ),
+    "no-slice-index": lambda p: write_npz(p, counts=np.zeros((2, 2), dtype=np.int32), num_patients=1),
+    "extra-member": lambda p: write_npz(
+        p, counts=np.zeros((2, 2), dtype=np.int32), num_patients=1, slice_index=1, width=2
+    ),
+    "1-d-counts": lambda p: write_npz(p, counts=np.zeros(4, dtype=np.int32), num_patients=1, slice_index=1),
+    "float-counts": lambda p: write_npz(p, counts=np.zeros((2, 2)), num_patients=1, slice_index=1),
+    "bool-counts": lambda p: write_npz(p, counts=np.zeros((2, 2), dtype=bool), num_patients=1, slice_index=1),
+    "array-num-patients": lambda p: write_npz(
+        p, counts=np.zeros((2, 2), dtype=np.int32), num_patients=[1], slice_index=1
+    ),
+    "float-slice-index": lambda p: write_npz(
+        p, counts=np.zeros((2, 2), dtype=np.int32), num_patients=1, slice_index=1.0
+    ),
+    "raw-member": lambda p: write_raw_member_npz(p),
+}
+
+
+def saved_atlas_bytes(path):
+    save_atlas(Atlas(slice_index=1, num_patients=1, counts=np.ones((8, 8), dtype=np.int32)), path)
+    return path.read_bytes()
+
+
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def write_raw_member_npz(path):
+    """An archive of the right member names whose ``slice_index`` is not an .npy."""
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("counts.npy", npy_bytes(np.zeros((2, 2), dtype=np.int32)))
+        archive.writestr("num_patients.npy", npy_bytes(np.int64(1)))
+        archive.writestr("slice_index", b"1")
+    return path
+
+
 class TestAtlasIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(41)
         counts = rng.integers(0, 6, size=(5, 7)).astype(np.int32)
         atlas = Atlas(slice_index=87, num_patients=5, counts=counts)
-        path = tmp_path / "atlas_slice_087.json"
+        path = tmp_path / _atlas_filename(87)
         save_atlas(atlas, path)
         back = load_atlas(path)
         assert back.slice_index == 87
         assert back.num_patients == 5
+        assert back.counts.dtype == np.int32
         assert np.array_equal(back.counts, counts)
 
+    def test_brats_size_round_trip_is_exact(self, tmp_path):
+        rng = np.random.default_rng(220)
+        counts = rng.integers(0, 221, size=(240, 240)).astype(np.int32)
+        counts[0, 0], counts[0, 1] = 0, 220
+        path = tmp_path / _atlas_filename(110)
+        save_atlas(Atlas(slice_index=110, num_patients=220, counts=counts), path)
+        back = load_atlas(path)
+        assert (back.slice_index, back.num_patients) == (110, 220)
+        assert back.counts.dtype == np.int32
+        assert np.array_equal(back.counts, counts)
+
+    def test_file_is_an_uncompressed_npz_of_three_members(self, tmp_path):
+        counts = np.array([[0, 1, 2]], dtype=np.int32)
+        path = tmp_path / _atlas_filename(3)
+        save_atlas(Atlas(slice_index=3, num_patients=2, counts=counts), path)
+        with np.load(path, allow_pickle=False) as archive:
+            assert sorted(archive.files) == ["counts", "num_patients", "slice_index"]
+            assert archive["counts"].dtype == np.int32
+            assert np.array_equal(archive["counts"], counts)
+            assert archive["num_patients"].shape == () and int(archive["num_patients"]) == 2
+            assert archive["slice_index"].shape == () and int(archive["slice_index"]) == 3
+        with zipfile.ZipFile(path) as archive:
+            for info in archive.infolist():
+                assert info.compress_type == zipfile.ZIP_STORED
+                assert info.date_time == (1980, 1, 1, 0, 0, 0)
+
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "atlas_slice_087.json"
+        path = tmp_path / _atlas_filename(87)
         save_atlas(Atlas(slice_index=87, num_patients=1, counts=np.ones((2, 2), dtype=np.int32)), path)
         before = path.read_bytes()
 
-        def fail_midway(obj, fh, **kwargs):
-            fh.write('{"slice_index": ')
+        def fail_midway(fp, array, **kwargs):
+            fp.write(b"\x93NUMPY\x01\x00")
             raise OSError("disk full")
 
-        monkeypatch.setattr(json, "dump", fail_midway)
+        monkeypatch.setattr(np.lib.format, "write_array", fail_midway)
         with pytest.raises(OSError, match="disk full"):
             save_atlas(Atlas(slice_index=87, num_patients=2, counts=np.zeros((2, 2), dtype=np.int32)), path)
         assert path.read_bytes() == before
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_counts_above_num_patients_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(
-            '{"slice_index": 1, "width": 2, "height": 1, "num_patients": 2, "counts": [3, 0]}'
+        path = write_npz(
+            tmp_path / "bad.npz", counts=np.array([[3, 0]], dtype=np.int32), num_patients=2, slice_index=1
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="0..num_patients"):
+            load_atlas(path)
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_ATLASES))
+    def test_malformed_npz_is_format_error(self, tmp_path, kind):
+        path = tmp_path / _atlas_filename(7)
+        MALFORMED_ATLASES[kind](path)
+        with pytest.raises(FormatError, match=re.escape(str(path))):
             load_atlas(path)
 
     def test_malformed_json_is_format_error(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(FormatError):
+        # an atlas as earlier versions wrote it
+        path = tmp_path / "atlas_slice_001.json"
+        path.write_text('{"counts": [1, 0], "height": 1, "num_patients": 1, "slice_index": 1, "width": 2}\n')
+        with pytest.raises(FormatError, match=re.escape(str(path))):
             load_atlas(path)
 
     def test_missing_field_is_format_error(self, tmp_path):
-        path = tmp_path / "missing.json"
-        path.write_text('{"slice_index": 1, "width": 2, "height": 1, "counts": [1, 0]}')
+        path = write_npz(tmp_path / "missing.npz", counts=np.array([[1, 0]], dtype=np.int32), slice_index=1)
         with pytest.raises(FormatError, match="num_patients"):
             load_atlas(path)
 
@@ -255,7 +343,7 @@ class TestAtlasIO:
         for n in PHANTOM_REP_SLICES:
             gts = [extract_slice(gt, n) for _, _, gt in phantom_cases]
             atlas = build_atlas(gts)
-            path = tmp_path / f"atlas_slice_{n:03d}.json"
+            path = tmp_path / _atlas_filename(n)
             save_atlas(atlas, path)
             back = load_atlas(path)
             assert back.num_patients == 5
