@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .config import DICE_FORMULAS, METHODS, RunConfig, build_run_config, load_config_file
+from .config import DEFAULT_SEED, DICE_FORMULAS, METHODS, RunConfig, build_run_config, load_config_file
 from .errors import (
     ConfigurationError,
     EmptyGroundTruthError,
@@ -35,6 +35,7 @@ from .evaluate import (
 from .mha import read_mha, write_mha
 from .phantom import PhantomSpec, generate_phantom, save_spec
 from .phantom import load_spec as load_phantom_spec
+from .pipeline import REPRESENTATIVE_SLICES, SELECT_MAX_SLICE, SELECT_MIN_SLICE
 from .pipeline import run_pipeline, select_representatives
 from .preprocess import build_atlas, load_atlas, save_atlas
 from .volume import KIND_LABEL
@@ -291,14 +292,18 @@ def cmd_select_slices(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 2015)")
-    parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument(
-        "--slices",
-        default=None,
-        help="comma-separated representative slice indices (default 50,66,87,89,92,110)",
-    )
+_RUN_FLAGS = {
+    "--seed": dict(type=int, help=f"RNG seed (default {DEFAULT_SEED})"),
+    "--config": dict(help="JSON config file"),
+    "--slices": dict(help="comma-separated representative slice indices "
+                     f"(default {','.join(map(str, REPRESENTATIVE_SLICES))})"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *run_flags: str) -> None:
+    """``-v`` plus the named ``_RUN_FLAGS``: only those the subcommand reads."""
+    for flag in run_flags:
+        parser.add_argument(flag, default=None, **_RUN_FLAGS[flag])
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
@@ -327,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = atlas_sub.add_parser("build", help="build per-slice atlases from training GTs")
     p_build.add_argument("--manifest", required=True, help="CSV of training cases")
     p_build.add_argument("--out-dir", required=True)
-    _add_common(p_build)
+    _add_common(p_build, "--config", "--slices")
     p_build.set_defaults(func=cmd_atlas_build)
 
     p_extract = sub.add_parser("extract", help="extract the tumor bounding box from a volume")
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--format", choices=["json", "csv"], default="json")
     p_extract.add_argument("--debug-dir", default=None, help="write each slice's clustering fit and traces here")
     _add_method(p_extract)
-    _add_common(p_extract)
+    _add_common(p_extract, "--seed", "--config", "--slices")
     p_extract.set_defaults(func=cmd_extract)
 
     p_eval = sub.add_parser("eval", help="evaluate a cohort manifest against ground truth")
@@ -363,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--jobs", type=int, default=None, help="parallel case evaluations")
     p_eval.add_argument("--margin", type=int, default=None)
     _add_method(p_eval)
-    _add_common(p_eval)
+    _add_common(p_eval, "--seed", "--config", "--slices")
     p_eval.set_defaults(func=cmd_eval)
 
     p_phantom = sub.add_parser("phantom", help="generate synthetic phantom cases")
@@ -380,14 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_phantom.add_argument("--noise-sigma", type=float, default=0.03)
     p_phantom.add_argument("--radius-min", type=float, default=DEFAULT_RADIUS_RANGE[0])
     p_phantom.add_argument("--radius-max", type=float, default=DEFAULT_RADIUS_RANGE[1])
-    _add_common(p_phantom)
+    _add_common(p_phantom, "--seed", "--config")
     p_phantom.set_defaults(func=cmd_phantom)
 
     p_select = sub.add_parser("select-slices", help="rank slice indices by summed tumor area")
     p_select.add_argument("--manifest", required=True)
     p_select.add_argument("--count", type=int, default=6)
-    p_select.add_argument("--min-slice", type=int, default=32)
-    p_select.add_argument("--max-slice", type=int, default=118)
+    p_select.add_argument("--min-slice", type=int, default=SELECT_MIN_SLICE)
+    p_select.add_argument("--max-slice", type=int, default=SELECT_MAX_SLICE)
     _add_common(p_select)
     p_select.set_defaults(func=cmd_select_slices)
 

@@ -274,32 +274,31 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
         raise ValidationError("leave-one-out needs at least two cases")
 
     rep = cfg.extract.representative_slices
-    # LOO reads each ground truth once, here, and keeps only planes of it:
-    # the representative slices build one atlas per slice, from which each
-    # case subtracts its own tumor pixels, and the cumulative plane scores
-    # the case. A read error is kept and becomes that case's error row.
-    prepass: list[tuple[dict[int, Slice], Slice] | Exception | None] = [None] * len(cases)
-    totals: dict[int, Atlas] = {}
-    if cfg.loo:
-        for i, case in enumerate(cases):
-            try:
-                gt = read_mha(case.gt_path, kind=KIND_LABEL)
-            except (TumorBoxError, OSError) as exc:
-                prepass[i] = exc
-                continue
-            prepass[i] = (representative_gt_slices(gt, rep, case.gt_path), cumulative_gt(gt))
-        readable = [p[0] for p in prepass if isinstance(p, tuple)]
-        if readable:
-            totals = {n: build_atlas([s[n] for s in readable]) for n in rep}
+    # Each ground truth is read once, here, and only planes of it are kept:
+    # the cumulative plane scores the case, and under LOO the representative
+    # slices build one atlas per slice, from which each case subtracts its
+    # own tumor pixels. A read error is kept and becomes that case's error row.
+    prepass: list[tuple[dict[int, Slice], Slice] | Exception] = []
+    for case in cases:
+        try:
+            gt = read_mha(case.gt_path, kind=KIND_LABEL)
+        except (TumorBoxError, OSError) as exc:
+            prepass.append(exc)
+            continue
+        gt_slices = representative_gt_slices(gt, rep, case.gt_path) if cfg.loo else {}
+        prepass.append((gt_slices, cumulative_gt(gt)))
+    readable = [p[0] for p in prepass if isinstance(p, tuple)] if cfg.loo else []
+    totals = {n: build_atlas([s[n] for s in readable]) for n in rep} if readable else {}
 
     def run_one(i_case):
         i, case = i_case
         try:
             volume = read_mha(case.intensity_path)
+            if isinstance(prepass[i], Exception):
+                raise prepass[i]
+            gt_slices, gt = prepass[i]
+            case_atlases = atlases
             if cfg.loo:
-                if isinstance(prepass[i], Exception):
-                    raise prepass[i]
-                gt_slices, gt = prepass[i]
                 case_atlases = {
                     n: Atlas(
                         slice_index=n,
@@ -308,9 +307,6 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
                     )
                     for n, atlas in totals.items()
                 }
-            else:
-                gt = read_mha(case.gt_path, kind=KIND_LABEL)
-                case_atlases = atlases
             return evaluate_case(
                 volume, gt, case_atlases, cfg, case_id=case.case_id, cohort=case.cohort
             )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import FormatError, TruncatedDataError, UnsupportedFeatureError
-from .volume import KIND_INTENSITY, KIND_LABEL, Volume, check_labels
+from .volume import KIND_INTENSITY, KIND_LABEL, Volume
 
 log = logging.getLogger(__name__)
 
@@ -76,10 +76,11 @@ def _read_header(fh) -> dict:
 def read_mha(path, kind: str = KIND_INTENSITY) -> Volume:
     """Read an uncompressed 3-D MetaImage file into a Volume.
 
-    ``kind`` selects the in-memory representation: "intensity" converts the
-    payload to float64, "label" to int16. A label payload is checked against
-    the BraTS label set 0..4 as stored, before the cast, so a fractional,
-    NaN or out-of-range value raises ValidationError naming that value.
+    The volume keeps the payload's stored element type, in native byte
+    order; ``kind`` ("intensity" or "label") only picks the checks that
+    :class:`Volume` runs on it. A label payload is thus checked as stored,
+    so a fractional, NaN or out-of-range value raises ValidationError
+    naming that value.
 
     The payload is read once, exactly as many bytes as DimSize and
     ElementType call for, from after the header (``LOCAL``) or from the
@@ -166,15 +167,8 @@ def read_mha(path, kind: str = KIND_INTENSITY) -> Volume:
     if available > expected:
         log.warning("ignoring %d trailing payload bytes in %s", available - expected, path)
 
-    if kind == KIND_LABEL:
-        # Check the values as stored: casting first would turn 2.5 into 2,
-        # NaN into 0 and 65535 into -1.
-        check_labels(grid)
-        data = grid.astype(np.int16, copy=False)
-    else:
-        data = grid.astype(np.float64)
     return Volume(
-        data=data,
+        data=grid.astype(grid.dtype.newbyteorder("="), copy=False),
         kind=kind,
         element_type=element_type,
         byte_order_msb=msb,

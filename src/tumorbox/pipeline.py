@@ -436,6 +436,8 @@ def select_representatives(
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
+    if min_slice < 1:
+        raise ValidationError(f"min_slice must be >= 1 (slices are numbered from 1), got {min_slice}")
     totals: dict[int, int] = {}
     any_volume = False
     for vol in gt_volumes:

@@ -49,8 +49,9 @@ class Volume:
     ValidationError.
 
     Attributes:
-        data: array of shape (depth, height, width); float64 for intensity
-            volumes, int16 for label volumes. Treated as read-only.
+        data: array of shape (depth, height, width) in its stored element
+            type; ``normalize`` casts each slice it reads to float64.
+            Treated as read-only.
         kind: "intensity" or "label".
         element_type: preferred MetaImage element type when written back to
             disk (kept from the source file so round trips are lossless).

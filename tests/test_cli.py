@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tumorbox.cli import _atlas_filename, main
+from tumorbox.cli import _atlas_filename, build_parser, main
 from tumorbox.config import _NESTED, _TOP_LEVEL, build_run_config
 from tumorbox.errors import ConfigurationError
 from tumorbox.mha import write_mha
@@ -733,6 +733,43 @@ class TestSelectSlices:
         code = run(["select-slices", "--manifest", str(phantom_dir / "manifest.csv"), "--count", count])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    def test_window_below_slice_one_is_usage_error(self, phantom_dir, capsys, caplog):
+        with caplog.at_level("ERROR"):
+            code = run([
+                "select-slices", "--manifest", str(phantom_dir / "manifest.csv"),
+                "--count", "2", "--min-slice", "0", "--max-slice", "5",
+            ])
+        assert code == 2
+        assert "min_slice must be >= 1 (slices are numbered from 1), got 0" in caplog.text
+        assert capsys.readouterr().out == ""
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("argv,flag", [
+        (["select-slices", "--manifest", "m.csv"], ["--seed", "-5"]),
+        (["select-slices", "--manifest", "m.csv"], ["--config", "/nonexistent.json"]),
+        (["select-slices", "--manifest", "m.csv"], ["--slices", "abc"]),
+        (["phantom", "--out-dir", "out"], ["--slices", "1,2"]),
+        (["atlas", "build", "--manifest", "m.csv", "--out-dir", "out"], ["--seed", "3"]),
+    ], ids=["select-slices-seed", "select-slices-config", "select-slices-slices", "phantom-slices",
+            "atlas-build-seed"])
+    def test_flag_the_subcommand_does_not_read_is_rejected(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, *flag]) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["atlas", "build", "--manifest", "m.csv", "--out-dir", "out"],
+        ["extract", "--volume", "v.mha", "--atlas-dir", "a"],
+        ["eval", "--manifest", "m.csv", "--out-dir", "out"],
+        ["phantom", "--out-dir", "out"],
+        ["select-slices", "--manifest", "m.csv"],
+    ], ids=lambda argv: argv[0] if argv[0] != "atlas" else "atlas-build")
+    def test_every_subcommand_takes_verbose(self, argv):
+        args = build_parser().parse_args([*argv, "-v"])
+        assert args.verbose == 1
 
 
 class TestEmptyManifest:

@@ -330,6 +330,41 @@ class TestEvaluateCohort:
         assert "marks no tumor" in one.errors[0].message
         assert "ghost_gt.mha" in one.errors[1].message
 
+    def test_fixed_atlas_reads_each_ground_truth_once(self, tmp_path, monkeypatch, phantom_cases, phantom_atlases):
+        man = write_phantom_manifest(tmp_path, phantom_cases[:2])
+        # a shallow ground truth is scored (only LOO needs its representative
+        # slices); a missing one is an error row, and a missing flair is
+        # named before its missing ground truth
+        spec, vol, gt = phantom_cases[2]
+        write_mha(vol, tmp_path / "shallow_flair.mha")
+        write_mha(Volume(data=gt.data[25:35], kind="label"), tmp_path / "shallow_gt.mha")
+        write_mha(vol, tmp_path / "ghost_flair.mha")
+        man.write_text(
+            man.read_text()
+            + "shallow_flair.mha,shallow_gt.mha,Phantom\n"
+            + "ghost_flair.mha,ghost_gt.mha,Phantom\n"
+            + "void_flair.mha,void_gt.mha,Phantom\n"
+        )
+        cases = read_manifest(man)
+        reads = []
+
+        def counting_read(path, kind="intensity"):
+            reads.append((path.name, kind))
+            return read_mha(path, kind=kind)
+
+        monkeypatch.setattr(ev, "read_mha", counting_read)
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        result = evaluate_cohort(cases, phantom_atlases, RunConfig(method="kmeans", extract=params, jobs=2))
+        assert sorted(reads) == sorted(
+            [(c.intensity_path.name, "intensity") for c in cases]
+            + [(c.gt_path.name, "label") for c in cases]
+        )
+        assert [c.case_id for c in result.cases] == ["p0_flair", "p1_flair", "shallow_flair"]
+        assert result.cases[2].bbox_gt == gt_box(cumulative_gt(gt))
+        assert [e.case_id for e in result.errors] == ["ghost_flair", "void_flair"]
+        assert "ghost_gt.mha" in result.errors[0].message
+        assert "void_flair.mha" in result.errors[1].message
+
     def test_loo_needs_two_cases(self, tmp_path, phantom_cases):
         man = write_phantom_manifest(tmp_path, phantom_cases[:1])
         cases = read_manifest(man)

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+import tumorbox.mha
+import tumorbox.volume
 from tumorbox.errors import (
     FormatError,
     TruncatedDataError,
@@ -274,8 +276,8 @@ def test_exact_payload_reads_without_warning(tmp_path, caplog, layout):
     path = write_layout(tmp_path, layout, payload)
     with caplog.at_level("WARNING"):
         vol = read_mha(path)
-    assert vol.data.dtype == np.float64
-    assert np.array_equal(vol.data, values.astype(np.float64))
+    assert vol.data.dtype == np.int16 and vol.data.dtype.isnative
+    assert np.array_equal(vol.data, values)
     assert payload_warnings(caplog) == []
 
 
@@ -310,8 +312,8 @@ def test_big_endian_payload_in_both_layouts(tmp_path, layout, element_type, dtyp
     payload = values.astype(np.dtype(dtype).newbyteorder(">")).tobytes()
     path = write_layout(tmp_path, layout, payload, dims=(5, 2, 3), element_type=element_type, msb=True)
     vol = read_mha(path)
-    assert vol.data.dtype == np.float64
-    assert np.array_equal(vol.data, values.astype(np.float64))
+    assert vol.data.dtype == dtype and vol.data.dtype.isnative
+    assert np.array_equal(vol.data, values)
 
 
 def test_overstated_dimsize_is_truncated_before_allocating(tmp_path):
@@ -359,7 +361,7 @@ def test_payload_from_a_pipe(tmp_path, caplog, layout, extra, keep):
     assert payload_warnings(caplog) == expected
 
 
-# Label payloads are checked as stored, before the int16 cast.
+# Label payloads are checked as stored.
 @pytest.mark.parametrize("element_type,dtype,bad,named", [
     ("MET_FLOAT", np.float32, 2.5, "[2.5]"),
     ("MET_FLOAT", np.float32, np.nan, "[nan]"),
@@ -384,7 +386,7 @@ def test_label_payload_checked_as_stored(tmp_path, element_type, dtype, bad, nam
     ("MET_FLOAT", np.float32), ("MET_USHORT", np.uint16), ("MET_SHORT", np.int16),
 ])
 @pytest.mark.parametrize("msb", [False, True])
-def test_integral_label_payload_reads_as_int16(tmp_path, element_type, dtype, msb):
+def test_integral_label_payload_reads_as_stored(tmp_path, element_type, dtype, msb):
     values = np.tile(np.arange(5), 6).reshape(3, 2, 5).astype(dtype)
     if dtype is np.float32:
         values[0, 0, 0] = -0.0
@@ -392,5 +394,23 @@ def test_integral_label_payload_reads_as_int16(tmp_path, element_type, dtype, ms
     path = tmp_path / "gt.mha"
     path.write_bytes(build_mha_bytes(dims=(5, 2, 3), element_type=element_type, payload=payload, msb=msb))
     vol = read_mha(path, kind="label")
-    assert vol.data.dtype == np.int16
-    assert np.array_equal(vol.data, values.astype(np.int16))
+    assert vol.data.dtype == dtype and vol.data.dtype.isnative
+    assert np.array_equal(vol.data, values)
+
+
+def test_label_read_checks_labels_once(tmp_path, monkeypatch):
+    calls = []
+    check = tumorbox.volume.check_labels
+
+    def counted(data):
+        calls.append(data.dtype)
+        check(data)
+
+    monkeypatch.setattr(tumorbox.volume, "check_labels", counted)
+    # Also catch a check that mha.py would make under its own name.
+    monkeypatch.setattr(tumorbox.mha, "check_labels", counted, raising=False)
+    values = np.tile(np.arange(5), 6).reshape(3, 2, 5).astype(np.uint16)
+    path = tmp_path / "gt.mha"
+    path.write_bytes(build_mha_bytes(dims=(5, 2, 3), element_type="MET_USHORT", payload=values.tobytes()))
+    read_mha(path, kind="label")
+    assert calls == [np.dtype(np.uint16)]

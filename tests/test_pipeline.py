@@ -26,6 +26,7 @@ from tumorbox.pipeline import (
     run_pipeline,
     select_representatives,
 )
+from tumorbox.mha import read_mha, write_mha
 from tumorbox.volume import Volume
 
 
@@ -389,6 +390,21 @@ class TestRunPipeline:
         dict_a.pop("timings_ms"), dict_b.pop("timings_ms")
         assert dict_a == dict_b
 
+    @pytest.mark.parametrize("method", ["em", "kmeans"])
+    def test_int16_file_volume_matches_its_float64_copy(self, tmp_path, phantom_cases, phantom_atlases, method):
+        spec, vol, gt = phantom_cases[3]
+        write_mha(Volume(data=np.rint(vol.data * 1000).astype(np.int16), element_type="MET_SHORT"),
+                  tmp_path / "flair.mha")
+        stored = read_mha(tmp_path / "flair.mha")
+        assert stored.data.dtype == np.int16
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        a = run_pipeline(stored, phantom_atlases, method=method, params=params)
+        b = run_pipeline(Volume(data=stored.data.astype(np.float64)), phantom_atlases, method=method, params=params)
+        assert a.bbox == b.bbox
+        dict_a, dict_b = a.report.to_dict(), b.report.to_dict()
+        dict_a.pop("timings_ms"), dict_b.pop("timings_ms")
+        assert dict_a == dict_b
+
     @pytest.mark.parametrize("method, keys", [
         ("kmeans", {"centroids", "objective", "n_iter", "degenerate", "best_restart"}),
         ("em", {"weights", "means", "variances", "log_likelihood", "n_iter", "converged", "best_restart"}),
@@ -470,6 +486,13 @@ class TestSelectRepresentatives:
         vol = Volume(data=np.ones((155, 4, 4), dtype=np.int16), kind="label")
         with pytest.raises(ValidationError):
             select_representatives([vol], count=count)
+
+    @pytest.mark.parametrize("min_slice", [0, -3])
+    def test_window_below_slice_one_rejected(self, min_slice):
+        # per_slice[n - 1] would wrap to the volume's last slices
+        vol = Volume(data=np.ones((24, 4, 4), dtype=np.int16), kind="label")
+        with pytest.raises(ValidationError, match=f"min_slice must be >= 1 .*, got {min_slice}"):
+            select_representatives([vol], count=2, min_slice=min_slice, max_slice=5)
 
 
 class TestExtractParamsValidation:
