@@ -178,15 +178,16 @@ def cmd_extract(args) -> int:
     if failure is not None:
         if cfg.strict:
             raise failure  # main logs it and exits 3
+        log.warning("no tumor detected in %s: %s", args.volume, failure)
         payload = {"bbox": None, "method": cfg.method, "warning": "no tumor detected"}
-    elif args.format == "csv":
-        print(bbox.to_csv_row())
-        return 0
     else:
         payload = {"bbox": bbox.to_dict(), "method": cfg.method}
         if report.fallback_used:
             payload["warning"] = "no winning quadrant; kept the union of all maps"
-    print(json.dumps(payload, sort_keys=True))
+    if args.format == "csv":
+        print(",,,," if bbox is None else bbox.to_csv_row())  # five empty fields
+    else:
+        print(json.dumps(payload, sort_keys=True))
     return 0
 
 

@@ -3,7 +3,8 @@
 Each fit starts from one histogram of its pixels: the sorted distinct values,
 their counts, the pixel-to-value index and prefix sums of count,
 (x - mean)*count and (x - mean)^2*count, built once per fit and shared by
-all restarts and, for EM, by the K-means warm start. Restart starts are read
+all restarts and, for EM, by the K-means warm start; its tables are arrays
+that Lloyd and the starts read by index. Restart starts are read
 off it (quantile spread from the cumulative counts, random starts as drawn
 pixels). K-means runs on it: 1-D nearest-center cells are intervals, so a
 Lloyd step is k - 1 binary-search cuts and its partition is one state,
@@ -122,17 +123,26 @@ class _Histogram(NamedTuple):
 
     The sums are of ``x - shift``, with ``shift`` the pixel mean: the sum of
     squares of a tight cluster is then a difference of small numbers, not of
-    two large ones that cancel.
+    two large ones that cancel. ``xs`` and the prefix sums are memoryviews
+    of arrays: a fit reads only a few of their m entries per iteration, and
+    each index gives a Python float or int without one being built per value.
     """
 
     distinct: np.ndarray  # sorted distinct values
     counts: np.ndarray  # pixels per distinct value
     inverse: np.ndarray  # pixel -> index into distinct
-    xs: list  # distinct as Python floats
+    xs: memoryview  # distinct, indexed as Python floats
     shift: float
-    cum_n: list  # cum_n[j]: pixels below distinct[j]; length m + 1
-    cum_x: list  # same for (x - shift) * count
-    cum_xx: list  # same for (x - shift)^2 * count
+    cum_n: memoryview  # cum_n[j]: pixels below distinct[j]; length m + 1
+    cum_x: memoryview  # same for (x - shift) * count
+    cum_xx: memoryview  # same for (x - shift)^2 * count
+
+
+def _prefix_sums(terms: np.ndarray) -> memoryview:
+    """``[0, terms[0], terms[0] + terms[1], ...]`` in ``terms``' dtype."""
+    sums = np.zeros(terms.size + 1, dtype=terms.dtype)
+    np.cumsum(terms, out=sums[1:])
+    return memoryview(sums)
 
 
 def _histogram(values) -> _Histogram:
@@ -147,11 +157,11 @@ def _histogram(values) -> _Histogram:
         distinct,
         counts,
         inverse,
-        distinct.tolist(),
+        memoryview(distinct),
         shift,
-        [0, *np.cumsum(counts).tolist()],
-        [0.0, *np.cumsum(mass).tolist()],
-        [0.0, *np.cumsum(mass * centered).tolist()],
+        _prefix_sums(counts),
+        _prefix_sums(mass),
+        _prefix_sums(mass * centered),
     )
 
 
@@ -197,17 +207,19 @@ def _cuts(distinct, ranked):
     exact comparison decides.
 
     1-D nearest-center cells are the intervals between midpoints of the
-    sorted centers, so each cut is one binary search.
+    sorted centers, so each cut is one binary search, started at the cut
+    before it: a cut that would fall below it leaves an empty interval.
     """
     tol = 4.0 * math.ulp(max(-distinct[0], distinct[-1], -ranked[0], ranked[-1]))
+    m = len(distinct)
     cuts = [0]
     for lo, hi in zip(ranked, ranked[1:]):
         mid = 0.5 * (lo + hi)
-        cut = bisect_left(distinct, mid - tol)
-        if hi - lo <= 2.0 * tol or cut <= cuts[-1] or bisect_right(distinct, mid + tol, cut) > cut:
+        cut = bisect_left(distinct, mid - tol, cuts[-1])
+        if hi - lo <= 2.0 * tol or cut <= cuts[-1] or (cut < m and distinct[cut] <= mid + tol):
             return None
         cuts.append(cut)
-    cuts.append(len(distinct))
+    cuts.append(m)
     return cuts if cuts[-2] < cuts[-1] else None
 
 

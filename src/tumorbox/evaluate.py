@@ -225,13 +225,14 @@ def read_manifest(path) -> list[ManifestCase]:
     """Read a case manifest CSV with header intensity_path,gt_path,cohort.
 
     Relative paths resolve against the manifest's own directory, so a
-    generated phantom directory is self-contained. Two rows with the same
-    case ID are rejected, since results are keyed by it.
+    generated phantom directory is self-contained. A leading UTF-8 byte-order
+    mark is skipped. Two rows with the same case ID are rejected, since
+    results are keyed by it.
     """
     path = Path(path)
     base = path.parent
     cases = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"intensity_path", "gt_path", "cohort"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):

@@ -136,14 +136,13 @@ def read_mha(path, kind: str = KIND_INTENSITY) -> Volume:
 
         spacing = (1.0, 1.0, 1.0)
         if "ElementSpacing" in header:
+            text = header["ElementSpacing"]
             try:
-                parts = tuple(float(tok) for tok in header["ElementSpacing"].split())
+                spacing = tuple(float(tok) for tok in text.split())
             except ValueError as exc:
-                raise FormatError(
-                    f"unparseable header key ElementSpacing: {header['ElementSpacing']!r}"
-                ) from exc
-            if len(parts) == 3:
-                spacing = parts
+                raise FormatError(f"unparseable header key ElementSpacing: {text!r}") from exc
+            if len(spacing) != 3 or not all(math.isfinite(s) and s > 0 for s in spacing):
+                raise FormatError(f"ElementSpacing must be three finite numbers > 0, got {text!r}")
 
         data_file = header["ElementDataFile"]
         if data_file in ("LIST",) or "%" in data_file:

@@ -300,6 +300,39 @@ def _assign_reference(distinct, centers):
     return [r[0] for r in runs], [r[1] for r in runs], [r[2] for r in runs]
 
 
+def cuts_reference(distinct, ranked):
+    """``clustering._cuts`` as it was with two binary searches per midpoint:
+    each cut searched over all of ``distinct``, and a value within ``tol``
+    above the midpoint found by ``bisect_right``. The bounds, or ``None``
+    where the exact comparison must decide."""
+    tol = 4.0 * math.ulp(max(-distinct[0], distinct[-1], -ranked[0], ranked[-1]))
+    cuts = [0]
+    for lo, hi in zip(ranked, ranked[1:]):
+        mid = 0.5 * (lo + hi)
+        cut = bisect_left(distinct, mid - tol)
+        if hi - lo <= 2.0 * tol or cut <= cuts[-1] or bisect_right(distinct, mid + tol, cut) > cut:
+            return None
+        cuts.append(cut)
+    cuts.append(len(distinct))
+    return cuts if cuts[-2] < cuts[-1] else None
+
+
+def histogram_tables_reference(values):
+    """A fit histogram's ``xs``, ``cum_n``, ``cum_x`` and ``cum_xx`` as the
+    Python lists the package built before it kept them as arrays."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    distinct, counts = np.unique(values, return_counts=True)
+    shift = float(distinct @ counts / values.size)
+    centered = distinct - shift
+    mass = centered * counts
+    return (
+        distinct.tolist(),
+        [0, *np.cumsum(counts).tolist()],
+        [0.0, *np.cumsum(mass).tolist()],
+        [0.0, *np.cumsum(mass * centered).tolist()],
+    )
+
+
 def _farthest_reference(hist, centers, owners, starts, sizes) -> float:
     """The value farthest from its assigned center; among ties, the one
     that occurs first in pixel order.

@@ -313,6 +313,21 @@ class TestExtract:
         ])
         assert code == 3
 
+    def test_zero_volume_csv_prints_empty_record(self, tmp_path, atlas_dir, capsys, caplog):
+        zero = tmp_path / "zero.mha"
+        write_mha(Volume(data=np.zeros((24, 48, 48))), zero)
+        with caplog.at_level("WARNING"):
+            code = run([
+                "extract", "--volume", str(zero), "--atlas-dir", str(atlas_dir),
+                "--slices", SMALL_SLICES, "--format", "csv",
+            ])
+        assert code == 0
+        assert capsys.readouterr().out == ",,,,\n"
+        assert any(
+            rec.levelname == "WARNING" and rec.getMessage().startswith("no tumor detected")
+            for rec in caplog.records
+        )
+
     def test_tumour_free_strict_exits_3_and_writes_report(self, tmp_path, atlas_dir):
         zero = tmp_path / "zero.mha"
         report_path = tmp_path / "report.json"

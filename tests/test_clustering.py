@@ -12,7 +12,9 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     _assign_reference,
     _farthest_reference,
+    cuts_reference,
     em_pixel_reference,
+    histogram_tables_reference,
     kmeans_dp_objective,
     kmeans_pixel_lloyd,
     lloyd_reference,
@@ -408,6 +410,28 @@ class TestHistogramStarts:
         got = _starts(_histogram(values), cfg)
         assert [r for r, _ in got] == [0, 1, 2]
         assert [c.tobytes() for _, c in got] == [c.tobytes() for c in want]
+
+class TestHistogramTables:
+    """The histogram's tables are arrays read by index: each entry is the
+    Python float or int, to the bit, of the lists they replaced, and one
+    binary search per cut gives the cuts of the two-search version."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pixels())
+    def test_tables_match_list_construction_to_the_bit(self, values):
+        hist = _histogram(values)
+        # repr tells 0 from 0.0 and -0.0 from 0.0, and round-trips floats exactly
+        for got, want in zip((hist.xs, hist.cum_n, hist.cum_x, hist.cum_xx), histogram_tables_reference(values)):
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+
+    @settings(max_examples=400, deadline=None)
+    @given(values_and_centers())
+    def test_one_search_cuts_match_two_search_reference(self, case):
+        distinct, centers = case
+        ranked = sorted(centers.tolist())
+        want = cuts_reference(distinct.tolist(), ranked)
+        assert _cuts(distinct.tolist(), ranked) == want
+        assert _cuts(_histogram(distinct).xs, ranked) == want
 
 
 def seeded_mixture(k, seed):

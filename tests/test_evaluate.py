@@ -239,6 +239,14 @@ class TestManifest:
         with pytest.raises(FormatError, match="case_flair"):
             read_manifest(man)
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # spreadsheet programs save UTF-8 CSV with a leading BOM
+        text = "intensity_path,gt_path,cohort\na_flair.mha,a_gt.mha,HGG\nb_flair.mha,b_gt.mha,LGG\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_manifest(marked) == read_manifest(plain)
+
 
 def write_phantom_manifest(tmp_path, cases):
     lines = ["intensity_path,gt_path,cohort"]

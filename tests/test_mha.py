@@ -183,6 +183,18 @@ def test_unparseable_dimsize_is_named(tmp_path):
         read_mha(path)
 
 
+@pytest.mark.parametrize("spacing", ["1 1", "1 1 1 1", "nan 1 1", "0 1 1", "1 -1 1", "1 1 inf"])
+def test_bad_element_spacing_rejected(tmp_path, spacing):
+    _, payload = int16_payload((2, 2, 2))
+    raw = build_mha_bytes(dims=(2, 2, 2), payload=payload).replace(
+        b"ElementSpacing = 1 1 1", f"ElementSpacing = {spacing}".encode()
+    )
+    path = tmp_path / "bad.mha"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="ElementSpacing"):
+        read_mha(path)
+
+
 def test_compressed_data_rejected(tmp_path):
     path = tmp_path / "z.mha"
     path.write_bytes(build_mha_bytes(dims=(2, 2, 2), compressed="True", payload=b""))
