@@ -1,12 +1,12 @@
 """1-D intensity clustering: Lloyd K-means and Gaussian-mixture EM.
 
-Each fit starts from one histogram of its pixels: the sorted distinct values,
-their counts, the pixel-to-value index and prefix sums of count,
-(x - mean)*count and (x - mean)^2*count, built once per fit and shared by
-all restarts and, for EM, by the K-means warm start; its tables are arrays
-that Lloyd and the starts read by index. Restart starts are read
-off it (quantile spread from the cumulative counts, random starts as drawn
-pixels). K-means runs on it: 1-D nearest-center cells are intervals, so a
+Each fit starts from one histogram of its pixels, built from one sort: the
+sorted distinct values, their counts and prefix sums of count,
+(x - mean)*count and (x - mean)^2*count, shared by all restarts and, for
+EM, by the K-means warm start; its tables are arrays that Lloyd and the
+starts read by index. Restart starts are read off it (quantile spread from
+the cumulative counts, random starts as drawn pixels). K-means runs on it:
+1-D nearest-center cells are intervals, so a
 Lloyd step is k - 1 binary-search cuts and its partition is one state,
 ``(owners, bounds)``: the center of each interval in value order and the
 k + 1 cut positions. Each cluster's size, mean and sum of squares are
@@ -19,10 +19,14 @@ is uncertain or an interval empty, one exact numpy pass decides every value
 and repairs empty clusters. EM fits a
 Gaussian mixture to the distinct values weighted by their counts (exact
 grouped-data EM): posteriors are (k, m), and each step is one small matrix
-product on the design [1, x, x^2]. Only the winner's posteriors are
-expanded to the pixels and hard-assigned downstream. ``segment_slice``
-turns either result into a label map whose classes are ranked by mean
-intensity, so for k=5 the brightest class is label 5.
+product on the design [1, x, x^2].
+
+Both fitters end in value space, with one class per distinct value; the
+per-pixel ``assignment`` and ``posteriors`` are built only when read.
+``segment_slice`` turns the value classes into a label map whose classes
+are ranked by mean intensity, so for k=5 the brightest class is label 5:
+each pixel finds its run of equal-class values by comparison with the
+run-start values, and one table gives its label.
 """
 
 import math
@@ -79,27 +83,6 @@ class GmmModel:
     log_likelihood: float
 
 
-@dataclass
-class KMeansResult:
-    centroids: np.ndarray
-    assignment: np.ndarray
-    objective: float
-    objective_trace: list[float] = field(default_factory=list)
-    n_iter: int = 0
-    degenerate: bool = False
-    best_restart: int = 0
-
-
-@dataclass
-class EmResult:
-    model: GmmModel
-    posteriors: np.ndarray
-    log_likelihood_trace: list[float] = field(default_factory=list)
-    n_iter: int = 0
-    converged: bool = False
-    best_restart: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class LabelMap:
     """Per-pixel class labels in {0} | {1..k}; 0 marks excluded background.
@@ -130,12 +113,18 @@ class _Histogram(NamedTuple):
 
     distinct: np.ndarray  # sorted distinct values
     counts: np.ndarray  # pixels per distinct value
-    inverse: np.ndarray  # pixel -> index into distinct
+    pixels: np.ndarray  # the values as float64, in pixel order
     xs: memoryview  # distinct, indexed as Python floats
     shift: float
     cum_n: memoryview  # cum_n[j]: pixels below distinct[j]; length m + 1
     cum_x: memoryview  # same for (x - shift) * count
     cum_xx: memoryview  # same for (x - shift)^2 * count
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """Index into ``distinct`` of each pixel; built on access, as no fit
+        needs it."""
+        return np.searchsorted(self.distinct, self.pixels)
 
 
 def _prefix_sums(terms: np.ndarray) -> memoryview:
@@ -146,23 +135,70 @@ def _prefix_sums(terms: np.ndarray) -> memoryview:
 
 
 def _histogram(values) -> _Histogram:
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if values.size == 0:
+    """The histogram of ``values`` from one sort: the distinct values and
+    counts are those of ``np.unique(values, return_counts=True)``."""
+    pixels = np.asarray(values, dtype=np.float64).reshape(-1)
+    if pixels.size == 0:
         raise ValidationError("clustering needs at least one value")
-    distinct, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    shift = float(distinct @ counts / values.size)
+    ordered = np.sort(pixels)
+    first = np.empty(ordered.size, dtype=bool)  # first of its value in ``ordered``
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    firsts = np.flatnonzero(first)
+    distinct = ordered[firsts]
+    counts = np.diff(firsts, append=ordered.size)
+    shift = float(distinct @ counts / pixels.size)
     centered = distinct - shift
     mass = centered * counts
     return _Histogram(
         distinct,
         counts,
-        inverse,
+        pixels,
         memoryview(distinct),
         shift,
         _prefix_sums(counts),
         _prefix_sums(mass),
         _prefix_sums(mass * centered),
     )
+
+
+@dataclass
+class KMeansResult:
+    """A K-means fit. ``classes`` holds the cluster of each distinct value of
+    ``hist``; ``assignment``, the cluster of each pixel, is built when read."""
+
+    centroids: np.ndarray
+    classes: np.ndarray
+    hist: _Histogram = field(repr=False)
+    objective: float = 0.0
+    objective_trace: list[float] = field(default_factory=list)
+    n_iter: int = 0
+    degenerate: bool = False
+    best_restart: int = 0
+
+    @property
+    def assignment(self) -> np.ndarray:
+        return self.classes[self.hist.inverse]
+
+
+@dataclass
+class EmResult:
+    """An EM fit. ``value_posteriors`` is (k, m), a column per distinct value
+    of ``hist``, and ``classes`` its argmax per value (see ``hard_assign``);
+    ``posteriors``, the (n, k) rows of the pixels, is built when read."""
+
+    model: GmmModel
+    value_posteriors: np.ndarray
+    classes: np.ndarray
+    hist: _Histogram = field(repr=False)
+    log_likelihood_trace: list[float] = field(default_factory=list)
+    n_iter: int = 0
+    converged: bool = False
+    best_restart: int = 0
+
+    @property
+    def posteriors(self) -> np.ndarray:
+        return self.value_posteriors.T[self.hist.inverse]
 
 
 def _quantile_spread(hist: _Histogram, k: int) -> list[float]:
@@ -190,11 +226,12 @@ def _starts(hist: _Histogram, cfg: ClusterConfig) -> list[tuple[int, np.ndarray]
     slices produce. Later restarts draw random pixels from one RNG stream
     seeded per fit.
     """
-    n = hist.inverse.size
+    pixels = hist.pixels
+    n = pixels.size
     rng = np.random.default_rng(cfg.seed)
     starts = [np.array(_quantile_spread(hist, cfg.k))]
     for _ in range(1, cfg.n_restarts):
-        starts.append(hist.distinct[hist.inverse[rng.choice(n, size=cfg.k, replace=n < cfg.k)]])
+        starts.append(pixels[rng.choice(n, size=cfg.k, replace=n < cfg.k)])
     return list(enumerate(starts))
 
 
@@ -241,9 +278,9 @@ def _exact_partition(hist: _Histogram, centers: list) -> tuple[list, list]:
         if not empty.size:
             break
         gap = np.abs(distinct - at[labels])
-        tied = np.flatnonzero(gap == gap.max())
-        far = tied[0] if tied.size == 1 else hist.inverse[np.isin(hist.inverse, tied).argmax()]
-        centers[empty[0]] = hist.xs[far]
+        tied = distinct[gap == gap.max()]
+        far = tied[0] if tied.size == 1 else hist.pixels[np.isin(hist.pixels, tied).argmax()]
+        centers[empty[0]] = float(far)
     starts = np.flatnonzero(np.diff(labels, prepend=-1))
     return labels[starts].tolist(), [*starts.tolist(), distinct.size]
 
@@ -336,8 +373,10 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
     there (see ``_lloyd``); the earlier one keeps the win. With fewer
     distinct values than k the distinct values become centroids, the
     remainder are duplicates, and the result is flagged degenerate.
-    ``values`` may also be a ready ``_Histogram``. Values are expected on
-    the pipeline's normalised [0, 1] scale, as ``em_gmm_1d`` needs them.
+    The result holds the cluster of each distinct value, the final runs
+    (see ``KMeansResult``). ``values`` may also be a ready ``_Histogram``.
+    Values are expected on the pipeline's normalised [0, 1] scale, as
+    ``em_gmm_1d`` needs them.
     """
     cfg = cfg or ClusterConfig()
     hist = values if isinstance(values, _Histogram) else _histogram(values)
@@ -348,7 +387,8 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
         )
         return KMeansResult(
             centroids=centroids,
-            assignment=hist.inverse,  # value i sits on centroid i; duplicates lose ties
+            classes=np.arange(distinct.size),  # value i sits on centroid i; duplicates lose ties
+            hist=hist,
             objective=0.0,
             objective_trace=[0.0],
             n_iter=0,
@@ -364,7 +404,8 @@ def kmeans_1d(values, cfg: ClusterConfig | None = None) -> KMeansResult:
     restart, centroids, (owners, bounds), trace, iterations = best
     return KMeansResult(
         centroids=np.array(centroids),
-        assignment=np.repeat(owners, np.diff(bounds))[hist.inverse],
+        classes=np.repeat(owners, np.diff(bounds)),
+        hist=hist,
         objective=trace[-1],
         objective_trace=trace,
         n_iter=iterations,
@@ -428,6 +469,7 @@ def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
     posterior rows always sum to one. Every k, k=1 included, goes
     through the same runs, all on one histogram of the values: EM over the
     distinct values weighted by their counts is EM over the pixels.
+    ``values`` may also be a ready ``_Histogram``.
 
     Values are expected on the pipeline's normalised [0, 1] scale:
     ``VARIANCE_FLOOR`` is in those units, and the E-step expands
@@ -436,7 +478,7 @@ def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
     a component loses about 1e-4 of log-density per pixel to rounding.
     """
     cfg = cfg or ClusterConfig()
-    hist = _histogram(values)
+    hist = values if isinstance(values, _Histogram) else _histogram(values)
     distinct, counts = hist.distinct, hist.counts
     n = hist.cum_n[-1]
 
@@ -447,8 +489,7 @@ def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
     # avoids that local optimum. Counted as restart -1; best likelihood
     # still decides.
     km = kmeans_1d(hist, cfg)
-    assign = np.empty(distinct.size, dtype=np.intp)  # cluster of each distinct value
-    assign[hist.inverse] = km.assignment
+    assign = km.classes
     safe = np.maximum(np.bincount(assign, weights=counts, minlength=cfg.k), 1.0)
     km_weights = safe / n
     km_vars = np.bincount(assign, weights=counts * (distinct - km.centroids[assign]) ** 2, minlength=cfg.k) / safe
@@ -458,21 +499,23 @@ def em_gmm_1d(values, cfg: ClusterConfig | None = None) -> EmResult:
     starts += [(restart, flat, means0, spread) for restart, means0 in _starts(hist, cfg)]
 
     design = np.stack((np.ones_like(distinct), distinct, distinct * distinct))
-    best: EmResult | None = None
+    best = None
     for restart, weights0, means0, variances0 in starts:
-        model, posteriors, trace, converged = _em_run(design, counts, weights0, means0, variances0, cfg.max_iter, cfg.tol)
-        ll = model.log_likelihood
-        if best is None or ll - best.model.log_likelihood > LL_TIE_RTOL * abs(best.model.log_likelihood):
-            best = EmResult(
-                model=model,
-                posteriors=posteriors,
-                log_likelihood_trace=trace,
-                n_iter=len(trace),
-                converged=converged,
-                best_restart=restart,
-            )
-    best.posteriors = best.posteriors.T[hist.inverse]
-    return best
+        run = _em_run(design, counts, weights0, means0, variances0, cfg.max_iter, cfg.tol)
+        ll = run[0].log_likelihood
+        if best is None or ll - best[1].log_likelihood > LL_TIE_RTOL * abs(best[1].log_likelihood):
+            best = restart, *run
+    restart, model, posteriors, trace, converged = best
+    return EmResult(
+        model=model,
+        value_posteriors=posteriors,
+        classes=hard_assign(posteriors.T) - 1,
+        hist=hist,
+        log_likelihood_trace=trace,
+        n_iter=len(trace),
+        converged=converged,
+        best_restart=restart,
+    )
 
 
 def hard_assign(posteriors) -> np.ndarray:
@@ -511,6 +554,33 @@ def _rank_by_mean(raw_labels: np.ndarray, values: np.ndarray, k: int, fallback_m
     return rank
 
 
+def _ranked_by_interval(hist: _Histogram, firsts: np.ndarray, k: int, dtype) -> bool:
+    """Whether K-means classes whose runs start at value indices ``firsts``
+    are ranked by ``_rank_by_mean`` in run order, whatever the rounding of
+    the per-pixel means in ``np.mean``'s result type for ``dtype``.
+
+    K-means never leaves a class empty, so k runs are one run per class.
+    Each run's values then lie below the next run's, and where the gap
+    between the two neighbouring values at every cut exceeds the largest
+    rounding of two neighbouring class means, 2 * n * u * max|x| for n
+    pixels and unit roundoff u, the computed means ascend in run order too.
+    """
+    if firsts.size != k:
+        return False
+    xs = hist.distinct
+    bound = hist.cum_n[-1] * np.finfo(np.result_type(dtype, 1.0)).eps * max(abs(xs[0]), abs(xs[-1]))
+    return bool(np.all(xs[firsts[1:]] - xs[firsts[1:] - 1] > bound))
+
+
+def _run_index(data: np.ndarray, run_starts: list) -> np.ndarray:
+    """For each pixel, how many of the ascending ``run_starts`` it reaches:
+    i + 1 for a pixel in run i, 0 for one below every start."""
+    index = np.zeros(data.shape, dtype=np.min_scalar_type(len(run_starts)))
+    for start in run_starts:
+        index += data >= start
+    return index
+
+
 def segment_slice(
     slc: Slice,
     method: str = METHOD_EM,
@@ -524,6 +594,13 @@ def segment_slice(
     consuming one of the k classes. An all-zero slice yields an all-zero map flagged degenerate.
     Intensities are expected on the pipeline's normalised [0, 1] scale (see
     ``em_gmm_1d``).
+
+    The fit gives each distinct value a class; in value order the classes form
+    runs, and each pixel is placed in its run by comparison with the
+    run-start values (pixels left out lie below them all). K-means classes
+    that are k runs with a clear gap at every cut rank in run order, which
+    is the per-pixel mean order (see ``_ranked_by_interval``); other fits
+    are ranked by those means.
     """
     cfg = cfg or ClusterConfig()
     if method not in (METHOD_EM, METHOD_KMEANS):
@@ -532,13 +609,12 @@ def segment_slice(
     data = slc.data
     mask = np.ones(data.shape, dtype=bool) if include_background else data > 0
     values = data[mask]
-    labels = np.zeros(data.shape, dtype=np.int32)
     if values.size == 0:
-        return LabelMap(labels=labels, k=cfg.k, slice_index=slc.index, degenerate=True)
+        return LabelMap(labels=np.zeros(data.shape, dtype=np.int32), k=cfg.k, slice_index=slc.index, degenerate=True)
+    hist = _histogram(values)
 
     if method == METHOD_KMEANS:
-        result = kmeans_1d(values, cfg)
-        raw = result.assignment
+        result = kmeans_1d(hist, cfg)
         fallback_means = result.centroids
         degenerate = result.degenerate
         fit = {
@@ -549,8 +625,7 @@ def segment_slice(
             "degenerate": result.degenerate,
         }
     else:
-        result = em_gmm_1d(values, cfg)
-        raw = hard_assign(result.posteriors) - 1
+        result = em_gmm_1d(hist, cfg)
         fallback_means = result.model.means
         degenerate = False
         model = result.model
@@ -565,6 +640,15 @@ def segment_slice(
         }
     fit.update(method=method, best_restart=result.best_restart)
 
-    rank = _rank_by_mean(raw, values, cfg.k, fallback_means)
-    labels[mask] = rank[raw]
+    classes = result.classes
+    firsts = np.flatnonzero(np.diff(classes, prepend=-1))  # value index where each run starts
+    run = _run_index(data, hist.distinct[firsts].tolist())
+    if method == METHOD_KMEANS and _ranked_by_interval(hist, firsts, cfg.k, values.dtype):
+        labels = run.astype(np.int32)
+    else:
+        owners = classes[firsts]
+        rank = _rank_by_mean(owners[run[mask] - 1], values, cfg.k, fallback_means)
+        table = np.zeros(firsts.size + 1, dtype=np.int32)
+        table[1:] = rank[owners]
+        labels = table[run]
     return LabelMap(labels=labels, k=cfg.k, slice_index=slc.index, degenerate=degenerate, fit=fit)

@@ -118,11 +118,14 @@ def _build_section(section: str, values: dict):
 
 
 def load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The JSON object in ``path``, read as UTF-8 with or without a BOM."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"malformed config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"config file {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"config file {path} must hold a JSON object")
     return payload

@@ -7,6 +7,7 @@ pipeline are scored against it with the Dice measure, aggregated per cohort
 """
 
 import csv
+import io
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -232,27 +233,31 @@ def read_manifest(path) -> list[ManifestCase]:
     path = Path(path)
     base = path.parent
     cases = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"intensity_path", "gt_path", "cohort"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise FormatError(
-                f"manifest {path} must have columns intensity_path,gt_path,cohort"
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"manifest {path} is not UTF-8 text: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    required = {"intensity_path", "gt_path", "cohort"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise FormatError(
+            f"manifest {path} must have columns intensity_path,gt_path,cohort"
+        )
+    for row in reader:
+        intensity = Path(row["intensity_path"])
+        gt = Path(row["gt_path"])
+        case_id = intensity.name.replace(".mha", "").replace(".mhd", "")
+        if any(c.case_id == case_id for c in cases):
+            raise FormatError(f"manifest {path} lists case {case_id!r} twice")
+        cases.append(
+            ManifestCase(
+                case_id=case_id,
+                intensity_path=intensity if intensity.is_absolute() else base / intensity,
+                gt_path=gt if gt.is_absolute() else base / gt,
+                cohort=row["cohort"].strip(),
             )
-        for row in reader:
-            intensity = Path(row["intensity_path"])
-            gt = Path(row["gt_path"])
-            case_id = intensity.name.replace(".mha", "").replace(".mhd", "")
-            if any(c.case_id == case_id for c in cases):
-                raise FormatError(f"manifest {path} lists case {case_id!r} twice")
-            cases.append(
-                ManifestCase(
-                    case_id=case_id,
-                    intensity_path=intensity if intensity.is_absolute() else base / intensity,
-                    gt_path=gt if gt.is_absolute() else base / gt,
-                    cohort=row["cohort"].strip(),
-                )
-            )
+        )
     return cases
 
 

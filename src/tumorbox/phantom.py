@@ -103,11 +103,14 @@ def save_spec(spec: PhantomSpec, path) -> None:
 
 
 def load_spec(path) -> PhantomSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The spec in the JSON file ``path``, read as UTF-8 with or without a BOM."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"malformed phantom spec {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"phantom spec {path} is not UTF-8 text: {exc}") from exc
     return spec_from_dict(payload)
 
 

@@ -10,7 +10,7 @@ rectangle is the output.
 import logging
 import time
 from dataclasses import dataclass, field
-from math import ceil, pi, sqrt
+from math import ceil, floor, pi, sqrt
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -159,9 +159,20 @@ def bounding_box(tumor_map: TumorMap, margin: int = 0) -> BBox:
 
 
 def _disk_mask(shape: tuple[int, int], center: tuple[float, float], radius: float) -> np.ndarray:
-    rows = np.arange(shape[0], dtype=np.float64)[:, None]
-    cols = np.arange(shape[1], dtype=np.float64)[None, :]
-    return (rows - center[0]) ** 2 + (cols - center[1]) ** 2 <= radius**2
+    """Pixels whose squared distance from ``center`` is at most radius**2.
+
+    Only the disk's bounding square, widened by a pixel on each side, is
+    evaluated: a pixel farther out than that has one squared offset above
+    radius**2 even after rounding, so it is outside for the whole-grid
+    expression too.
+    """
+    mask = np.zeros(shape, dtype=bool)
+    lo = [max(0, floor(c - radius) - 1) for c in center]
+    hi = [min(size, ceil(c + radius) + 2) for c, size in zip(center, shape)]
+    rows = np.arange(lo[0], hi[0], dtype=np.float64)[:, None]
+    cols = np.arange(lo[1], hi[1], dtype=np.float64)[None, :]
+    mask[lo[0]:hi[0], lo[1]:hi[1]] = (rows - center[0]) ** 2 + (cols - center[1]) ** 2 <= radius**2
+    return mask
 
 
 def extract_tumor_map(label_map: LabelMap, params: ExtractParams | None = None) -> TumorMap:

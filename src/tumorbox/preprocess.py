@@ -78,12 +78,16 @@ def normalize(slc: Slice) -> Slice:
     A constant slice (max == min) maps to all zeros: it carries no contrast
     information and this avoids the division by zero.
     """
-    data = slc.data.astype(np.float64)
-    lo = data.min()
-    hi = data.max()
+    # The extremes of the stored values, as float64, are those of the
+    # float64 copy; the subtraction makes that copy and the division works
+    # in place on it.
+    lo = np.float64(slc.data.min())
+    hi = np.float64(slc.data.max())
     if hi == lo:
-        return Slice(data=np.zeros_like(data), index=slc.index)
-    return Slice(data=(data - lo) / (hi - lo), index=slc.index)
+        return Slice(data=np.zeros(slc.data.shape), index=slc.index)
+    data = np.subtract(slc.data, lo, dtype=np.float64)
+    data /= hi - lo
+    return Slice(data=data, index=slc.index)
 
 
 def brain_threshold(slc: Slice) -> float:
@@ -141,9 +145,11 @@ def enhance_contrast(slc: Slice, atlas: Atlas, params: EnhanceParams | None = No
         )
     values = slc.data
     threshold = brain_threshold(slc)
-    likely = atlas.counts > 0
-    out = np.where(values > 0, values * params.gain_down, 0.0)
-    out = np.where(likely & (values > threshold), values * params.gain_up, out)
+    # Pixels at or below 0 end at 0 after the clip, and the threshold is at
+    # least 0, so only brain pixels are brightened. (Only a -0.0 or NaN
+    # pixel, which normalize never gives, keeps its sign or NaN.)
+    out = values * params.gain_down
+    np.multiply(values, params.gain_up, out=out, where=(atlas.counts > 0) & (values > threshold))
     np.clip(out, 0.0, 1.0, out=out)
     return Slice(data=out, index=slc.index)
 

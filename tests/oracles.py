@@ -352,8 +352,8 @@ def _farthest_reference(hist, centers, owners, starts, sizes) -> float:
             tied += range(bisect_left(xs, end, a, a + m, key=gap), bisect_right(xs, end, a, a + m, key=gap))
     if len(tied) == 1:
         return xs[tied[0]]
-    inverse = hist.inverse
-    return xs[inverse[np.flatnonzero(np.isin(inverse, tied))[0]]]
+    pixels = hist.pixels
+    return float(pixels[np.flatnonzero(np.isin(pixels, [xs[i] for i in tied]))[0]])
 
 
 def lloyd_reference(hist, centers: list[float], max_iter: int):
@@ -480,6 +480,30 @@ def em_pixel_reference(values, k: int, seed: int, n_restarts: int, max_iter: int
     return dict(best, runs=runs)
 
 
+def _fit_record(method: str, res) -> dict:
+    from tumorbox.clustering import METHOD_KMEANS
+
+    if method == METHOD_KMEANS:
+        record = {
+            "centroids": res.centroids.tolist(),
+            "objective": res.objective,
+            "objective_trace": res.objective_trace,
+            "n_iter": res.n_iter,
+            "degenerate": res.degenerate,
+        }
+    else:
+        record = {
+            "weights": res.model.weights.tolist(),
+            "means": res.model.means.tolist(),
+            "variances": res.model.variances.tolist(),
+            "log_likelihood": res.model.log_likelihood,
+            "log_likelihood_trace": res.log_likelihood_trace,
+            "n_iter": res.n_iter,
+            "converged": res.converged,
+        }
+    return {**record, "method": method, "best_restart": res.best_restart}
+
+
 def segmentation_fit(slc, method: str, cfg, include_background: bool = False) -> dict:
     """The per-slice fit record, got by clustering the slice afresh.
 
@@ -496,31 +520,77 @@ def segmentation_fit(slc, method: str, cfg, include_background: bool = False) ->
     values = data[mask]
     if values.size == 0:
         return {"slice_index": slc.index, "empty": True}
+    res = (kmeans_1d if method == METHOD_KMEANS else em_gmm_1d)(values, cfg)
+    return {"slice_index": slc.index, **_fit_record(method, res)}
+
+
+def rank_by_mean_reference(raw_labels: np.ndarray, values: np.ndarray, k: int, fallback_means: np.ndarray) -> np.ndarray:
+    """Label 1..k of each cluster by ascending mean of its pixels, each mean
+    the ``np.mean`` of the cluster's pixels in pixel order; an empty cluster
+    keys on its fallback mean, and equal keys keep cluster order."""
+    by_label = np.argsort(raw_labels.astype(np.min_scalar_type(k)), kind="stable")
+    ends = np.cumsum(np.bincount(raw_labels, minlength=k))
+    keys = fallback_means.astype(np.float64).copy()
+    for j, members in enumerate(np.split(values[by_label], ends[:-1])):
+        if members.size:
+            keys[j] = members.mean()
+    order = np.argsort(keys, kind="stable")
+    rank = np.empty(k, dtype=np.int32)
+    rank[order] = np.arange(1, k + 1)
+    return rank
+
+
+def segment_slice_reference(slc, method: str, cfg, include_background: bool = False):
+    """``clustering.segment_slice`` as it ran before the fits ended in value
+    space: ``np.unique`` with the pixel-to-value inverse, the fit's classes
+    gathered to the pixels (for EM, its posteriors expanded to (n, k) and
+    hard-assigned), and every fit ranked by per-pixel class means. It calls
+    the package's fitters; it checks how their result becomes a label map.
+    Returns (labels, fit, degenerate).
+    """
+    from tumorbox.clustering import METHOD_KMEANS, em_gmm_1d, hard_assign, kmeans_1d
+
+    data = slc.data
+    mask = np.ones(data.shape, dtype=bool) if include_background else data > 0
+    values = data[mask]
+    labels = np.zeros(data.shape, dtype=np.int32)
+    if values.size == 0:
+        return labels, None, True
+    _, inverse = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True)
     if method == METHOD_KMEANS:
         res = kmeans_1d(values, cfg)
-        return {
-            "slice_index": slc.index,
-            "method": method,
-            "centroids": res.centroids.tolist(),
-            "objective": res.objective,
-            "objective_trace": res.objective_trace,
-            "n_iter": res.n_iter,
-            "degenerate": res.degenerate,
-            "best_restart": res.best_restart,
-        }
-    res = em_gmm_1d(values, cfg)
-    return {
-        "slice_index": slc.index,
-        "method": method,
-        "weights": res.model.weights.tolist(),
-        "means": res.model.means.tolist(),
-        "variances": res.model.variances.tolist(),
-        "log_likelihood": res.model.log_likelihood,
-        "log_likelihood_trace": res.log_likelihood_trace,
-        "n_iter": res.n_iter,
-        "converged": res.converged,
-        "best_restart": res.best_restart,
-    }
+        raw, fallback_means, degenerate = res.classes[inverse], res.centroids, res.degenerate
+    else:
+        res = em_gmm_1d(values, cfg)
+        raw = hard_assign(res.value_posteriors.T[inverse]) - 1
+        fallback_means, degenerate = res.model.means, False
+    labels[mask] = rank_by_mean_reference(raw, values, cfg.k, fallback_means)[raw]
+    return labels, _fit_record(method, res), degenerate
+
+
+def normalize_reference(data: np.ndarray) -> np.ndarray:
+    """``preprocess.normalize`` as first vectorised: a float64 copy, then
+    ``(data - lo) / (hi - lo)``."""
+    data = data.astype(np.float64)
+    lo, hi = data.min(), data.max()
+    if hi == lo:
+        return np.zeros_like(data)
+    return (data - lo) / (hi - lo)
+
+
+def enhance_reference(values: np.ndarray, counts: np.ndarray, threshold: float, gain_up: float, gain_down: float):
+    """``preprocess.enhance_contrast``'s arithmetic as two full-slice
+    ``np.where`` passes and a clip."""
+    out = np.where(values > 0, values * gain_down, 0.0)
+    out = np.where((counts > 0) & (values > threshold), values * gain_up, out)
+    return np.clip(out, 0.0, 1.0)
+
+
+def disk_mask_reference(shape, center, radius) -> np.ndarray:
+    """The safety disk evaluated over the whole grid."""
+    rows = np.arange(shape[0], dtype=np.float64)[:, None]
+    cols = np.arange(shape[1], dtype=np.float64)[None, :]
+    return (rows - center[0]) ** 2 + (cols - center[1]) ** 2 <= radius**2
 
 
 def volume_check_reference(data: np.ndarray, kind: str):

@@ -911,6 +911,38 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
 
 
+class TestTextEncoding:
+    @pytest.mark.parametrize("kind", ["config", "manifest", "spec"])
+    def test_undecodable_file_is_format_error(self, tmp_path, caplog, kind):
+        bad = tmp_path / f"bad_{kind}"
+        bad.write_bytes(b"\xff" + b'{"seed": 1}\n')
+        out = tmp_path / "out"
+        argv = {
+            "config": ["eval", "--manifest", str(tmp_path / "absent.csv"), "--out-dir", str(out), "--loo",
+                       "--config", str(bad)],
+            "manifest": ["select-slices", "--manifest", str(bad)],
+            "spec": ["phantom", "--out-dir", str(out), "--spec", str(bad)],
+        }[kind]
+        with caplog.at_level("ERROR"):
+            code = run(argv)
+        assert code == 4
+        assert f"{bad} is not UTF-8 text" in caplog.text
+        assert not out.exists()
+
+    def test_byte_order_mark_skipped_in_config_and_spec(self, tmp_path, phantom_dir):
+        # Both files as a Windows editor saves them; the config sets the
+        # noise seed, so the volumes match a run given --seed instead.
+        bom = b"\xef\xbb\xbf"
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(bom + (phantom_dir / "phantom_000_spec.json").read_bytes())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(bom + b'{"seed": 11}')
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["phantom", "--out-dir", str(a), "--count", "1", "--spec", str(spec), "--config", str(cfg)]) == 0
+        assert run(["phantom", "--out-dir", str(b), "--count", "1", "--spec", str(spec), "--seed", "11"]) == 0
+        assert file_hashes(sorted(a.iterdir())) == file_hashes(sorted(b.iterdir()))
+
+
 class TestConfigSurface:
     REMOVED = [
         ("cluster", "init", "quantile-spread"),

@@ -19,6 +19,7 @@ from oracles import (
     kmeans_pixel_lloyd,
     lloyd_reference,
     nearest_center_loop,
+    segment_slice_reference,
 )
 from conftest import PHANTOM_REP_SLICES, make_slice
 
@@ -35,7 +36,7 @@ from tumorbox.clustering import (
     segment_slice,
 )
 from tumorbox.errors import ValidationError
-from tumorbox.volume import extract_slice
+from tumorbox.volume import Slice, extract_slice
 
 
 class TestKMeans:
@@ -424,6 +425,32 @@ class TestHistogramTables:
         for got, want in zip((hist.xs, hist.cum_n, hist.cum_x, hist.cum_xx), histogram_tables_reference(values)):
             assert [repr(v) for v in got] == [repr(v) for v in want]
 
+    @staticmethod
+    def assert_matches_unique(values):
+        hist = _histogram(values)
+        distinct, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+        assert hist.distinct.tobytes() == distinct.astype(np.float64).tobytes()
+        assert hist.counts.dtype == counts.dtype and np.array_equal(hist.counts, counts)
+        assert np.array_equal(hist.inverse, inverse.reshape(-1))
+        return hist
+
+    @settings(max_examples=400, deadline=None)
+    @given(pixels())
+    def test_one_sort_matches_unique(self, values):
+        self.assert_matches_unique(values)
+
+    @pytest.mark.parametrize("kind", ["random", "heavy-repeat", "single-value"])
+    def test_one_sort_matches_unique_on_slices(self, kind):
+        rng = np.random.default_rng(7)
+        values = {
+            "random": rng.random(5000),
+            "heavy-repeat": heavy_repeat_values(rng) / 160,
+            "single-value": np.full(300, 0.25),
+        }[kind]
+        hist = self.assert_matches_unique(values)
+        for got, want in zip((hist.xs, hist.cum_n, hist.cum_x, hist.cum_xx), histogram_tables_reference(values)):
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+
     @settings(max_examples=400, deadline=None)
     @given(values_and_centers())
     def test_one_search_cuts_match_two_search_reference(self, case):
@@ -696,6 +723,98 @@ class TestSegmentSlice:
         one, two = np.load(tmp_path / "labels1.npy"), np.load(tmp_path / "labels2.npy")
         assert one.shape == (240, 240) and set(np.unique(one)) == {0, 1, 2, 3, 4, 5}
         assert np.array_equal(one, two)
+
+
+def brats_like(data):
+    """A slice's intensities as BraTS stores them: int16, 1000 per unit."""
+    return np.rint(data * 1000).astype(np.int16)
+
+
+class TestSegmentSliceMatchesReference:
+    """The value-space label map equals the per-pixel one it replaced:
+    labels, fit and degenerate flag, to the bit."""
+
+    @staticmethod
+    def assert_matches(slc, method, cfg=None, include_background=False):
+        cfg = cfg or ClusterConfig()
+        lm = segment_slice(slc, method, cfg, include_background)
+        labels, fit, degenerate = segment_slice_reference(slc, method, cfg, include_background)
+        assert lm.labels.dtype == labels.dtype and np.array_equal(lm.labels, labels)
+        assert (lm.fit, lm.degenerate) == (fit, degenerate)
+        return lm
+
+    @staticmethod
+    def enhanced(vol, n, atlases, scale=None):
+        from tumorbox.preprocess import enhance_contrast, normalize
+
+        raw = extract_slice(vol, n)
+        if scale is not None:
+            raw = Slice(data=scale(raw.data), index=n)
+        return enhance_contrast(normalize(raw), atlases[n])
+
+    @pytest.mark.parametrize("method", ["em", "kmeans"])
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_phantom_slices(self, method, case, phantom_cases, phantom_atlases):
+        for n in PHANTOM_REP_SLICES:
+            self.assert_matches(self.enhanced(phantom_cases[case][1], n, phantom_atlases), method)
+
+    @pytest.mark.parametrize("method", ["em", "kmeans"])
+    @pytest.mark.parametrize("case", [2, 3])
+    def test_brats_like_int16_slices(self, method, case, phantom_cases, phantom_atlases):
+        for n in PHANTOM_REP_SLICES:
+            self.assert_matches(self.enhanced(phantom_cases[case][1], n, phantom_atlases, brats_like), method)
+
+    @pytest.mark.parametrize("method", ["em", "kmeans"])
+    def test_include_background(self, method, phantom_cases, phantom_atlases):
+        slc = self.enhanced(phantom_cases[0][1], 32, phantom_atlases, brats_like)
+        lm = self.assert_matches(slc, method, include_background=True)
+        assert np.all(lm.labels > 0)
+
+    @pytest.mark.parametrize("method", ["em", "kmeans"])
+    def test_all_zero_slice(self, method):
+        self.assert_matches(make_slice(np.zeros((6, 5))), method)
+
+    @pytest.mark.parametrize("method", ["em", "kmeans"])
+    def test_fewer_distinct_values_than_k(self, method):
+        data = np.array([[0.2, 0.4, 0.2, 0.0], [0.4, 0.9, 0.0, 0.2]])
+        lm = self.assert_matches(make_slice(data), method)
+        assert lm.degenerate == (method == "kmeans")
+
+    def test_em_one_ulp_rank_case(self):
+        # The slice of TestExtractTumorMap::test_em_with_empty_brightest_class_falls_back_to_class4:
+        # an empty component's model mean ranks one ulp above the tumour's.
+        from conftest import make_phantom_spec
+        from tumorbox.phantom import generate_phantom
+        from tumorbox.preprocess import build_atlas, enhance_contrast, normalize
+
+        cases = [generate_phantom(make_phantom_spec(i, base_seed=3015)) for i in range(10)]
+        atlas = build_atlas([extract_slice(gt, 30) for _, gt in cases])
+        slc = enhance_contrast(normalize(extract_slice(cases[1][0], 30)), atlas)
+        lm = self.assert_matches(slc, "em")
+        assert not np.any(lm.labels == 5)
+
+    def test_kmeans_classes_meeting_inside_rounding_bound_rank_by_pixel_means(self, monkeypatch):
+        # Two classes cut between values one ulp apart. The mean of 31
+        # pixels at 0.3 rounds to 0.3000000000000001, above the other
+        # class's 0.30000000000000004, so the lower run ranks second.
+        import tumorbox.clustering as cl
+
+        calls, real = [], cl._rank_by_mean
+        monkeypatch.setattr(cl, "_rank_by_mean", lambda *args: calls.append(1) or real(*args))
+        low = 0.3
+        high = float(np.nextafter(low, 1.0))
+        data = np.array([[low] * 31 + [high] * 24 + [0.0]])
+        lm = self.assert_matches(make_slice(data), "kmeans", ClusterConfig(k=2))
+        assert calls and not lm.degenerate
+        assert lm.labels[0].tolist() == [2] * 31 + [1] * 24 + [0]
+
+    def test_kmeans_interval_ranking_skips_pixel_means(self, phantom_cases, phantom_atlases, monkeypatch):
+        import tumorbox.clustering as cl
+
+        calls, real = [], cl._rank_by_mean
+        monkeypatch.setattr(cl, "_rank_by_mean", lambda *args: calls.append(1) or real(*args))
+        self.assert_matches(self.enhanced(phantom_cases[0][1], 32, phantom_atlases, brats_like), "kmeans")
+        assert not calls
 
 
 class TestConfig:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bbox_scan
+from oracles import bbox_scan, disk_mask_reference
 from conftest import PHANTOM_REP_SLICES
 
 from tumorbox import components
@@ -141,6 +141,25 @@ class TestExtractTumorMap:
         lm = LabelMap(labels=np.zeros((4, 4), dtype=np.int32), k=3)
         with pytest.raises(ValidationError):
             extract_tumor_map(lm, ExtractParams())
+
+
+class TestDiskMask:
+    @pytest.mark.parametrize(
+        "center, radius",
+        [
+            ((10.0, 12.0), 5.0),  # pixels exactly on the circle
+            ((7.25, 12.5), 2.5),
+            ((0.0, 0.0), 5.3),  # image corner
+            ((19.7, 0.2), 3.0),  # bottom edge
+            ((10.0, 23.0), 30.0),  # larger than the image
+            ((10.5, 10.5), 0.4),  # radius < 1, between pixels
+            ((3.0, 17.0), 0.0),
+            ((19.0, 23.0), 0.99),
+        ],
+    )
+    def test_matches_whole_grid_expression(self, center, radius):
+        got = pipeline._disk_mask((20, 24), center, radius)
+        assert got.dtype == bool and np.array_equal(got, disk_mask_reference((20, 24), center, radius))
 
 
 class TestQuadrantVotes:

@@ -5,7 +5,14 @@ import zipfile
 import numpy as np
 import pytest
 
-from oracles import atlas_counts_loop, brain_mean_loop, enhance_loop, normalize_loop
+from oracles import (
+    atlas_counts_loop,
+    brain_mean_loop,
+    enhance_loop,
+    enhance_reference,
+    normalize_loop,
+    normalize_reference,
+)
 from conftest import make_slice
 
 from tumorbox.cli import _atlas_filename
@@ -49,6 +56,16 @@ class TestNormalize:
         once = normalize(make_slice(data))
         twice = normalize(once)
         assert np.max(np.abs(twice.data - once.data)) <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.uint16, np.float32, np.float64])
+    def test_bit_identical_to_float_copy_then_divide(self, dtype):
+        rng = np.random.default_rng(22)
+        varied = (rng.random((12, 9)) * 3000).astype(dtype)
+        for data in (varied, np.full((4, 5), 7, dtype=dtype)):
+            out = normalize(Slice(data=data, index=3))
+            want = normalize_reference(data)
+            assert out.data.dtype == np.float64 and out.data.tobytes() == want.tobytes()
+            assert out.index == 3
 
     def test_preserves_extremum_positions(self):
         rng = np.random.default_rng(4)
@@ -178,6 +195,22 @@ class TestEnhanceContrast:
                 vin, vout = data[sel], out.data[sel]
                 order = np.argsort(vin)
                 assert np.all(np.diff(vout[order]) >= -1e-15)
+
+    def test_bit_identical_to_two_where_passes(self):
+        # Brain mean 0.5 exactly: pixels at the threshold with and without
+        # atlas support, zeros, and 0.875 * 1.25 clipped at 1.
+        data = np.array([[0.0, 0.25, 0.5, 0.75], [0.5, 0.875, 0.125, 0.0]])
+        counts = np.array([[1, 1, 1, 0], [0, 1, 2, 2]], dtype=np.int32)
+        assert brain_threshold(make_slice(data)) == 0.5
+        rng = np.random.default_rng(23)
+        random = rng.random((30, 30))
+        random[random < 0.3] = 0.0
+        for values, atlas_counts in ((data, counts), (random, rng.integers(0, 3, size=(30, 30)).astype(np.int32))):
+            slc = make_slice(values)
+            out = enhance_contrast(slc, Atlas(slice_index=1, num_patients=2, counts=atlas_counts))
+            want = enhance_reference(values, atlas_counts, brain_threshold(slc), 1.25, 0.8)
+            assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+            assert out.data.max() == 1.0
 
     def test_dim_and_index_mismatch(self):
         atlas = Atlas(slice_index=2, num_patients=1, counts=np.zeros((3, 3), dtype=np.int32))
