@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="leave-one-out: rebuild the atlas without the case under test",
     )
-    p_eval.add_argument("--jobs", type=int, default=None, help="parallel case evaluations")
+    p_eval.add_argument("--jobs", type=int, default=None, help="cases evaluated at once, in forked worker processes")
     p_eval.add_argument("--margin", type=int, default=None)
     _add_method(p_eval)
     _add_common(p_eval, "--seed", "--config", "--slices")

@@ -89,21 +89,26 @@ def _run_roots(rows, starts, stops, reach: int, width: int) -> np.ndarray:
 
 
 class Components(Sequence):
-    """Components largest first, held as arrays; ``[i]`` builds the i-th."""
+    """Components largest first, held as their runs; ``[i]`` builds the i-th."""
 
-    def __init__(self, pixels, bounds, centroids, order):
-        self._pixels = pixels  # every component's pixels, one after another
-        self._bounds = bounds  # component c owns pixels[bounds[c]:bounds[c + 1]]
-        self._centroids = centroids  # (n, 2) float64
-        self._order = order  # component ids by area descending
+    def __init__(self, rows, starts, lengths, roots, order):
+        self._rows, self._starts, self._lengths = rows, starts, lengths
+        self._roots = roots  # each run's root run
+        self._order = order  # root runs by component area descending
 
     def __len__(self) -> int:
         return self._order.size
 
     def __getitem__(self, i: int) -> Component:
-        c = self._order[i]
-        pixels = self._pixels[self._bounds[c]:self._bounds[c + 1]]
-        return Component(pixels=pixels, centroid=tuple(self._centroids[c].tolist()))
+        runs = np.flatnonzero(self._roots == self._order[i])  # in scan order
+        rows, starts, lengths = self._rows[runs], self._starts[runs], self._lengths[runs]
+        pixels = np.stack([np.repeat(rows, lengths), _ranges(starts, lengths)], axis=1)
+        # Coordinate sums are integers, so the centroid is the exact
+        # per-component pixel mean.
+        area = int(lengths.sum())
+        row_sum = int((rows * lengths).sum())
+        col_sum = int(((2 * starts + lengths - 1) * lengths // 2).sum())
+        return Component(pixels=pixels.astype(np.int64, copy=False), centroid=(row_sum / area, col_sum / area))
 
 
 def connected_components(mask, connectivity: int = 8) -> Sequence[Component]:
@@ -123,24 +128,9 @@ def connected_components(mask, connectivity: int = 8) -> Sequence[Component]:
     if rows.size == 0:
         return []
     roots = _run_roots(rows, starts, stops, 1 if connectivity == 8 else 0, mask.shape[1])
-    # Roots are first runs, so component ids follow the anchors' scan order.
-    comp = (np.cumsum(roots == np.arange(rows.size)) - 1)[roots]
     lengths = stops - starts
-
-    # A stable sort of the runs by component keeps them in scan order, so
-    # each component's pixels come out row-major.
-    by_comp = np.argsort(comp, kind="stable")
-    run_rows, run_starts, run_lengths = rows[by_comp], starts[by_comp], lengths[by_comp]
-    pixels = np.stack([np.repeat(run_rows, run_lengths), _ranges(run_starts, run_lengths)], axis=1)
-
-    # Coordinate sums are integers, exact in float64, so the centroids equal
-    # the per-component pixel means.
-    areas = np.bincount(comp, weights=lengths).astype(np.int64)
-    row_sums = np.bincount(comp, weights=rows * lengths)
-    col_sums = np.bincount(comp, weights=(starts + stops - 1) * lengths // 2)
-    return Components(
-        pixels=pixels.astype(np.int64),
-        bounds=np.concatenate([[0], np.cumsum(areas)]),
-        centroids=np.stack([row_sums, col_sums], axis=1) / areas[:, None],
-        order=np.argsort(-areas, kind="stable"),
-    )
+    # Roots are first runs, so ascending roots follow the anchors' scan order
+    # and a stable sort by area keeps it among equal areas.
+    firsts = np.flatnonzero(roots == np.arange(rows.size))
+    areas = np.bincount(roots, weights=lengths)[firsts]
+    return Components(rows, starts, lengths, roots, firsts[np.argsort(-areas, kind="stable")])

@@ -8,6 +8,7 @@ dataclass default, and are checked once, when the RunConfig is built.
 
 import dataclasses
 import json
+import multiprocessing
 import sys
 import typing
 from dataclasses import dataclass, field, replace
@@ -78,6 +79,11 @@ class RunConfig:
                 )
         if self.jobs < 1:
             raise ConfigurationError(f"config key 'jobs' must be >= 1, got {self.jobs}")
+        if self.jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            raise ConfigurationError(
+                f"config key 'jobs' must be 1 on this platform, which cannot fork "
+                f"worker processes; got {self.jobs}"
+            )
         if self.seed < 0:
             raise ConfigurationError(f"config key 'seed' must be >= 0, got {self.seed}")
         if self.cluster.k != 5:

@@ -9,8 +9,9 @@ pipeline are scored against it with the Dice measure, aggregated per cohort
 import csv
 import io
 import logging
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -261,12 +262,54 @@ def read_manifest(path) -> list[ManifestCase]:
     return cases
 
 
+def _run_case(i, cases, prepass, totals, atlases, cfg):
+    """Case ``i`` of a cohort, scored; a read or pipeline error becomes its
+    error row."""
+    case = cases[i]
+    try:
+        volume = read_mha(case.intensity_path)
+        if isinstance(prepass[i], Exception):
+            raise prepass[i]
+        gt_slices, gt = prepass[i]
+        case_atlases = atlases
+        if cfg.loo:
+            case_atlases = {
+                n: Atlas(
+                    slice_index=n,
+                    num_patients=atlas.num_patients - 1,
+                    counts=atlas.counts - (gt_slices[n].data != 0),
+                )
+                for n, atlas in totals.items()
+            }
+        return evaluate_case(
+            volume, gt, case_atlases, cfg, case_id=case.case_id, cohort=case.cohort
+        )
+    except (TumorBoxError, OSError) as exc:
+        log.error("case %s skipped: %s", case.case_id, exc)
+        return ErrorRecord(case_id=case.case_id, cohort=case.cohort, message=str(exc))
+
+
+# A worker's cohort state: set once by _init_worker, inherited through fork.
+_cohort = ()
+
+
+def _init_worker(*cohort):
+    global _cohort
+    _cohort = cohort
+
+
+def _run_worker_case(i):
+    return _run_case(i, *_cohort)
+
+
 def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> CohortResult:
     """Evaluate the cases of one cohort and aggregate their Dice scores.
 
     With ``cfg.loo`` the atlases are rebuilt per case from the other cases'
     ground truths (train/test hygiene when the manifest provided the atlas
-    data); otherwise ``atlases`` must be supplied.
+    data); otherwise ``atlases`` must be supplied. With ``cfg.jobs`` above 1
+    the cases run in up to that many forked worker processes, which inherit
+    the cohort's state and send back one result per case.
     """
     if not cases:
         raise ValidationError("evaluate_cohort needs at least one case")
@@ -296,32 +339,21 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
     readable = [p[0] for p in prepass if isinstance(p, tuple)] if cfg.loo else []
     totals = {n: build_atlas([s[n] for s in readable]) for n in rep} if readable else {}
 
-    def run_one(i_case):
-        i, case = i_case
-        try:
-            volume = read_mha(case.intensity_path)
-            if isinstance(prepass[i], Exception):
-                raise prepass[i]
-            gt_slices, gt = prepass[i]
-            case_atlases = atlases
-            if cfg.loo:
-                case_atlases = {
-                    n: Atlas(
-                        slice_index=n,
-                        num_patients=atlas.num_patients - 1,
-                        counts=atlas.counts - (gt_slices[n].data != 0),
-                    )
-                    for n, atlas in totals.items()
-                }
-            return evaluate_case(
-                volume, gt, case_atlases, cfg, case_id=case.case_id, cohort=case.cohort
-            )
-        except (TumorBoxError, OSError) as exc:
-            log.error("case %s skipped: %s", case.case_id, exc)
-            return ErrorRecord(case_id=case.case_id, cohort=case.cohort, message=str(exc))
-
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        outcomes = list(pool.map(run_one, enumerate(cases)))
+    state = (cases, prepass, totals, atlases, cfg)
+    workers = min(cfg.jobs, len(cases))
+    if workers == 1:
+        outcomes = [_run_case(i, *state) for i in range(len(cases))]
+    else:
+        # Fork hands the state to each worker without pickling it (safe as
+        # long as the caller runs no other thread, as the CLI does not); a
+        # task is a case index and only its CaseResult or ErrorRecord comes back.
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=state,
+        ) as pool:
+            outcomes = list(pool.map(_run_worker_case, range(len(cases))))
 
     result = CohortResult(cohort=cohort, method=cfg.method, dice_formula=cfg.dice_formula)
     for outcome in outcomes:

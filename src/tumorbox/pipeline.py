@@ -191,7 +191,7 @@ def extract_tumor_map(label_map: LabelMap, params: ExtractParams | None = None) 
             f"tumor map extraction expects 5 classes, label map has k={label_map.k}"
         )
     labels = label_map.labels
-    area_max = params.area_max_fraction * int((labels > 0).sum())
+    area_max = params.area_max_fraction * np.count_nonzero(labels)
 
     for cls in (5, 4):
         comps = connected_components(labels == cls, connectivity=8)

@@ -137,6 +137,17 @@ def flood_fill_components(mask: np.ndarray, connectivity: int) -> set[frozenset]
     return groups
 
 
+def components_reference(mask: np.ndarray, connectivity: int) -> list:
+    """Every component at once, largest first, ties by topmost-leftmost
+    pixel: (pixels as an (area, 2) row-major array, centroid as the pixel
+    mean)."""
+    groups = sorted((sorted(g) for g in flood_fill_components(mask, connectivity)), key=lambda g: (-len(g), g[0]))
+    return [
+        (np.array(g, dtype=np.int64), tuple(np.array(g, dtype=np.float64).mean(axis=0).tolist()))
+        for g in groups
+    ]
+
+
 def row_runs_loop(mask: np.ndarray):
     """(rows, starts, stops) of the horizontal runs of set pixels, row by row."""
     runs = []

@@ -700,6 +700,30 @@ class TestEval:
             outs.append(out)
         assert (outs[0] / "summary_kmeans.json").read_bytes() == (outs[1] / "summary_kmeans.json").read_bytes()
 
+    def test_jobs_give_the_same_rows_and_summary(self, phantom_dir, tmp_path, capsys):
+        # LOO, and a case whose ground truth is missing, so an error row too
+        manifest = phantom_dir / "with_ghost.csv"
+        (phantom_dir / "ghost_flair.mha").write_bytes((phantom_dir / "phantom_000_flair.mha").read_bytes())
+        manifest.write_text((phantom_dir / "manifest.csv").read_text() + "ghost_flair.mha,ghost_gt.mha,Phantom\n")
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}"
+            code = run([
+                "eval", "--manifest", str(manifest), "--out-dir", str(out), "--loo",
+                "--slices", SMALL_SLICES, "--method", "kmeans", "--jobs", jobs,
+            ])
+            assert code == 0
+            capsys.readouterr()
+            outs.append(out)
+
+        def rows_without_wall_ms(out):
+            with open(out / "results_kmeans.csv", newline="") as fh:
+                return [{k: v for k, v in row.items() if k != "wall_ms"} for row in csv.DictReader(fh)]
+
+        assert rows_without_wall_ms(outs[0]) == rows_without_wall_ms(outs[1])
+        assert (outs[0] / "summary_kmeans.json").read_bytes() == (outs[1] / "summary_kmeans.json").read_bytes()
+        assert json.loads((outs[0] / "summary_kmeans.json").read_text())["cohorts"][0]["n_errors"] == 1
+
     def test_csv_round_trips_fields_with_commas(self, phantom_dir, atlas_dir, tmp_path, capsys):
         manifest = phantom_dir / "quoted.csv"
         manifest.write_text(
@@ -880,6 +904,30 @@ class TestConfigValidation:
         assert code == 2
         assert not list(tmp_path.rglob("results_*.csv"))
         assert any(key in rec.getMessage() for rec in caplog.records)
+
+    def test_jobs_above_one_without_fork_exits_2_before_any_case(
+        self, phantom_dir, tmp_path, monkeypatch, caplog
+    ):
+        import multiprocessing
+
+        import tumorbox.evaluate as ev
+
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case ran without a fork start method")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(ev, "read_mha", no_case)
+        out = tmp_path / "results"
+        with caplog.at_level("ERROR"):
+            code = run([
+                "eval", "--manifest", str(phantom_dir / "manifest.csv"), "--out-dir", str(out),
+                "--loo", "--slices", SMALL_SLICES, "--jobs", "2",
+            ])
+        assert code == 2
+        assert "cannot fork" in caplog.text
+        assert not out.exists()
+        # one job needs no worker process
+        assert build_run_config(None, {"jobs": 1}).jobs == 1
 
     @pytest.mark.parametrize("file_cfg, key", [
         ({"cluster": {"tol": float("nan")}}, "cluster.tol"),

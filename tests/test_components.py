@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import flood_fill_components, row_runs_loop, run_roots_reference
+from oracles import components_reference, flood_fill_components, row_runs_loop, run_roots_reference
 
 from tumorbox.components import _row_runs, _run_roots, connected_components
 from tumorbox.errors import ValidationError
@@ -35,6 +35,21 @@ def test_random_masks_match_flood_fill(connectivity):
         mask = rng.random((64, 64)) < 0.3
         comps = connected_components(mask, connectivity=connectivity)
         assert pixel_sets(comps) == flood_fill_components(mask, connectivity)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_components_read_in_any_order_match_eager_reference(connectivity):
+    rng = np.random.default_rng(57)
+    for density in (0.2, 0.45, 0.6):
+        mask = rng.random((40, 56)) < density
+        expected = components_reference(mask, connectivity)
+        comps = connected_components(mask, connectivity=connectivity)
+        assert len(comps) == len(expected)
+        for i in [*rng.permutation(len(comps)), 0, -1]:
+            pixels, centroid = expected[i]
+            assert np.array_equal(comps[i].pixels, pixels)
+            assert comps[i].pixels.dtype == np.int64
+            assert comps[i].centroid == centroid
 
 
 def test_sorted_by_area_then_topleft():

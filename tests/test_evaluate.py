@@ -1,4 +1,9 @@
 import logging
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -259,6 +264,21 @@ def write_phantom_manifest(tmp_path, cases):
     return man
 
 
+def count_reads(monkeypatch, log_path):
+    """Record every ``evaluate.read_mha`` call as one line of ``log_path``;
+    worker processes inherit the patch and append to the same file. Returns
+    a function giving the (file name, kind) reads so far."""
+
+    def counting_read(path, kind="intensity"):
+        with open(log_path, "a") as fh:
+            fh.write(f"{path.name}\t{kind}\n")
+        return read_mha(path, kind=kind)
+
+    monkeypatch.setattr(ev, "read_mha", counting_read)
+    log_path.write_text("")
+    return lambda: [tuple(line.split("\t")) for line in log_path.read_text().splitlines()]
+
+
 class TestEvaluateCohort:
     def test_single_case_mean(self, tmp_path, phantom_cases, phantom_atlases):
         man = write_phantom_manifest(tmp_path, phantom_cases[:1])
@@ -310,21 +330,15 @@ class TestEvaluateCohort:
             + "ghost_flair.mha,ghost_gt.mha,Phantom\n"
         )
         cases = read_manifest(man)
-        reads = []
-
-        def counting_read(path, kind="intensity"):
-            reads.append((path.name, kind))
-            return read_mha(path, kind=kind)
-
-        monkeypatch.setattr(ev, "read_mha", counting_read)
+        reads = count_reads(monkeypatch, tmp_path / "reads.log")
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
         results = []
         for jobs in (1, 2):
-            reads.clear()
+            (tmp_path / "reads.log").write_text("")
             results.append(
                 evaluate_cohort(cases, None, RunConfig(method="kmeans", extract=params, loo=True, jobs=jobs))
             )
-            assert sorted(reads) == sorted(
+            assert sorted(reads()) == sorted(
                 [(c.intensity_path.name, "intensity") for c in cases]
                 + [(c.gt_path.name, "label") for c in cases]
             )
@@ -354,16 +368,10 @@ class TestEvaluateCohort:
             + "void_flair.mha,void_gt.mha,Phantom\n"
         )
         cases = read_manifest(man)
-        reads = []
-
-        def counting_read(path, kind="intensity"):
-            reads.append((path.name, kind))
-            return read_mha(path, kind=kind)
-
-        monkeypatch.setattr(ev, "read_mha", counting_read)
+        reads = count_reads(monkeypatch, tmp_path / "reads.log")
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
         result = evaluate_cohort(cases, phantom_atlases, RunConfig(method="kmeans", extract=params, jobs=2))
-        assert sorted(reads) == sorted(
+        assert sorted(reads()) == sorted(
             [(c.intensity_path.name, "intensity") for c in cases]
             + [(c.gt_path.name, "label") for c in cases]
         )
@@ -404,6 +412,109 @@ class TestEvaluateCohort:
         )
         assert [r.cohort for r in results] == ["HGG", "LGG"]
         assert all(r.n == 1 for r in results)
+
+
+def case_rows(result):
+    """Everything a cohort result says about its cases but their timings."""
+    rows = []
+    for c in result.cases:
+        report = c.report.to_dict()
+        del report["timings_ms"]
+        rows.append((c.case_id, c.dice, c.failed, c.bbox_pred, c.bbox_gt, report))
+    return rows, result.errors
+
+
+class TestWorkerProcesses:
+    @pytest.fixture()
+    def cases_with_error(self, tmp_path, phantom_cases):
+        man = write_phantom_manifest(tmp_path, phantom_cases[:3])
+        write_mha(phantom_cases[3][1], tmp_path / "ghost_flair.mha")
+        man.write_text(man.read_text() + "ghost_flair.mha,ghost_gt.mha,Phantom\n")
+        return read_manifest(man)
+
+    @pytest.mark.parametrize("loo", [True, False], ids=["loo", "fixed-atlas"])
+    def test_every_jobs_value_gives_the_same_rows(self, cases_with_error, phantom_atlases, loo):
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        atlases = None if loo else phantom_atlases
+        results = [
+            case_rows(evaluate_cohort(
+                cases_with_error, atlases, RunConfig(method="kmeans", extract=params, loo=loo, jobs=jobs)
+            ))
+            for jobs in (1, 2, 3)
+        ]
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+        rows, errors = results[0]
+        assert [r[0] for r in rows] == ["p0_flair", "p1_flair", "p2_flair"]
+        assert [e.case_id for e in errors] == ["ghost_flair"]
+
+    def test_workers_capped_at_case_count_and_joined(self, tmp_path, monkeypatch, phantom_cases, phantom_atlases):
+        started = []
+
+        class Recording(ev.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+            def shutdown(self, *args, **kwargs):
+                started.append(len(self._processes))
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "ProcessPoolExecutor", Recording)
+        man = write_phantom_manifest(tmp_path, phantom_cases[:3])
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        result = evaluate_cohort(read_manifest(man), phantom_atlases, RunConfig(method="kmeans", extract=params, jobs=8))
+        assert result.n == 3
+        assert started == [3, 3]
+        assert multiprocessing.active_children() == []
+
+    def test_single_case_runs_without_a_pool(self, tmp_path, monkeypatch, phantom_cases, phantom_atlases):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one case")
+
+        monkeypatch.setattr(ev, "ProcessPoolExecutor", no_pool)
+        man = write_phantom_manifest(tmp_path, phantom_cases[:1])
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        result = evaluate_cohort(read_manifest(man), phantom_atlases, RunConfig(method="kmeans", extract=params, jobs=2))
+        assert result.n == 1
+
+    def test_other_exceptions_reach_the_caller(self, tmp_path, monkeypatch, phantom_cases, phantom_atlases):
+        def broken(*args, **kwargs):
+            raise RuntimeError("pipeline bug")
+
+        monkeypatch.setattr(ev, "run_pipeline", broken)
+        man = write_phantom_manifest(tmp_path, phantom_cases[:2])
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        with pytest.raises(RuntimeError, match="pipeline bug"):
+            evaluate_cohort(read_manifest(man), phantom_atlases, RunConfig(method="kmeans", extract=params, jobs=2))
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_breaks_the_pool_without_hanging(self, tmp_path, monkeypatch, phantom_cases, phantom_atlases):
+        real = ev.evaluate_case
+
+        def dying(volume, gt, atlases, cfg, case_id="", cohort="Phantom"):
+            if case_id == "p1_flair":
+                os._exit(1)
+            return real(volume, gt, atlases, cfg, case_id=case_id, cohort=cohort)
+
+        def hung(signum, frame):
+            raise TimeoutError("evaluate_cohort hung after a worker died")
+
+        monkeypatch.setattr(ev, "evaluate_case", dying)
+        man = write_phantom_manifest(tmp_path, phantom_cases[:3])
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            start = time.monotonic()
+            with pytest.raises(BrokenProcessPool):
+                evaluate_cohort(read_manifest(man), phantom_atlases, RunConfig(method="kmeans", extract=params, jobs=2))
+            elapsed = time.monotonic() - start
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert elapsed < 10
+        assert multiprocessing.active_children() == []
 
 
 class TestSummaryCounts:
