@@ -74,7 +74,6 @@ def _resolve_config(args) -> RunConfig:
         "strict": getattr(args, "strict", None),
         "loo": getattr(args, "loo", None),
         "jobs": getattr(args, "jobs", None),
-        "cluster_background": getattr(args, "cluster_background", None),
         "extract.bbox_margin": getattr(args, "margin", None),
     }
     slices = getattr(args, "slices", None)
@@ -164,7 +163,6 @@ def cmd_extract(args) -> int:
             cluster_cfg=cfg.cluster,
             params=cfg.extract,
             enhance=cfg.enhance,
-            include_background=cfg.cluster_background,
         )
         bbox, report, failure = result.bbox, result.report, None
     except NoTumorDetectedError as exc:
@@ -308,18 +306,6 @@ def _add_common(parser: argparse.ArgumentParser, *run_flags: str) -> None:
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
-def _add_method(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=METHODS, default=None)
-    parser.add_argument(
-        "--cluster-background",
-        dest="cluster_background",
-        action="store_const",
-        const=True,
-        default=None,
-        help="include zero-intensity background pixels in the clustering",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tumorbox",
@@ -350,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--report", default=None, help="write a JSON pipeline report here")
     p_extract.add_argument("--format", choices=["json", "csv"], default="json")
     p_extract.add_argument("--debug-dir", default=None, help="write each slice's clustering fit and traces here")
-    _add_method(p_extract)
+    p_extract.add_argument("--method", choices=METHODS, default=None)
     _add_common(p_extract, "--seed", "--config", "--slices")
     p_extract.set_defaults(func=cmd_extract)
 
@@ -368,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--jobs", type=int, default=None, help="cases evaluated at once, in forked worker processes")
     p_eval.add_argument("--margin", type=int, default=None)
-    _add_method(p_eval)
+    p_eval.add_argument("--method", choices=METHODS, default=None)
     _add_common(p_eval, "--seed", "--config", "--slices")
     p_eval.set_defaults(func=cmd_eval)
 

@@ -585,13 +585,12 @@ def segment_slice(
     slc: Slice,
     method: str = METHOD_EM,
     cfg: ClusterConfig | None = None,
-    include_background: bool = False,
 ) -> LabelMap:
-    """Cluster a slice's intensities into k classes ranked by brightness.
+    """Cluster a slice's brain, its pixels > 0, into k classes ranked by
+    brightness.
 
-    Zero-intensity background pixels are excluded (label 0) unless
-    ``include_background`` is set; excluding the black area keeps it from
-    consuming one of the k classes. An all-zero slice yields an all-zero map flagged degenerate.
+    The zero background is left out (label 0), so it cannot take one of the
+    k classes. An all-zero slice yields an all-zero map flagged degenerate.
     Intensities are expected on the pipeline's normalised [0, 1] scale (see
     ``em_gmm_1d``).
 
@@ -607,7 +606,7 @@ def segment_slice(
         raise ValidationError(f"unknown segmentation method: {method!r}")
 
     data = slc.data
-    mask = np.ones(data.shape, dtype=bool) if include_background else data > 0
+    mask = data > 0
     values = data[mask]
     if values.size == 0:
         return LabelMap(labels=np.zeros(data.shape, dtype=np.int32), k=cfg.k, slice_index=slc.index, degenerate=True)

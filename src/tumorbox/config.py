@@ -63,7 +63,6 @@ class RunConfig:
     strict: bool = False
     loo: bool = False
     jobs: int = 1
-    cluster_background: bool = False
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     extract: ExtractParams = field(default_factory=ExtractParams)
     enhance: EnhanceParams = field(default_factory=EnhanceParams)

@@ -182,12 +182,19 @@ def evaluate_case(
     """Score one (volume, ground truth) pair.
 
     ``gt`` is the label volume or its :func:`cumulative_gt` plane, which is
-    all the score reads of it. A pipeline that detects nothing scores 0 with
-    the failure flag set; excluding such cases would inflate cohort means
-    invisibly.
+    all the score reads of it; a plane whose shape is not the volume's slice
+    shape raises ValidationError before the pipeline runs. A pipeline that
+    detects nothing scores 0 with the failure flag set; excluding such cases
+    would inflate cohort means invisibly.
     """
     start = time.perf_counter()
-    box_gt = gt_box(gt if isinstance(gt, Slice) else cumulative_gt(gt))
+    plane = gt if isinstance(gt, Slice) else cumulative_gt(gt)
+    if plane.data.shape != (volume.height, volume.width):
+        raise ValidationError(
+            f"ground truth plane has shape {plane.data.shape}, "
+            f"but the volume's slices have shape {(volume.height, volume.width)}"
+        )
+    box_gt = gt_box(plane)
     dims = (volume.width, volume.height)
     try:
         result = run_pipeline(
@@ -197,7 +204,6 @@ def evaluate_case(
             cluster_cfg=cfg.cluster,
             params=cfg.extract,
             enhance=cfg.enhance,
-            include_background=cfg.cluster_background,
         )
         bbox, report = result.bbox, result.report
     except NoTumorDetectedError as exc:
@@ -228,8 +234,8 @@ def read_manifest(path) -> list[ManifestCase]:
 
     Relative paths resolve against the manifest's own directory, so a
     generated phantom directory is self-contained. A leading UTF-8 byte-order
-    mark is skipped. Two rows with the same case ID are rejected, since
-    results are keyed by it.
+    mark is skipped. A row with fewer fields than the header is rejected, and
+    so are two rows with the same case ID, since results are keyed by it.
     """
     path = Path(path)
     base = path.parent
@@ -246,6 +252,11 @@ def read_manifest(path) -> list[ManifestCase]:
             f"manifest {path} must have columns intensity_path,gt_path,cohort"
         )
     for row in reader:
+        if None in row.values():
+            raise FormatError(
+                f"manifest {path} line {reader.line_num} has fewer fields than its header "
+                f"({','.join(reader.fieldnames)})"
+            )
         intensity = Path(row["intensity_path"])
         gt = Path(row["gt_path"])
         case_id = intensity.name.replace(".mha", "").replace(".mhd", "")

@@ -39,7 +39,7 @@ class PhantomSpec:
 
     def __post_init__(self):
         # NaN fails every comparison below, so it would pass them all. The
-        # seed is an integer of any size, which numpy checks itself.
+        # seed is an integer of any size, so it is only checked for sign.
         for name, value in asdict(self).items():
             if name != "seed" and not all(math.isfinite(v) for v in np.ravel(value)):
                 raise ValidationError(f"{name} must be finite, got {value}")
@@ -53,6 +53,8 @@ class PhantomSpec:
             raise ValidationError("noise sigma must be >= 0")
         if self.tissue_intensity < 0:
             raise ValidationError("tissue intensity must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         # Sufficient condition for the blob lying strictly inside the brain:
         # the ellipsoid norm is 1/min(radii)-Lipschitz in Euclidean distance.
         scaled = math.sqrt(

@@ -354,10 +354,10 @@ def run_pipeline(
     cluster_cfg: ClusterConfig | None = None,
     params: ExtractParams | None = None,
     enhance: EnhanceParams | None = None,
-    include_background: bool = False,
 ) -> PipelineResult:
     """Run the full pipeline on one volume and return the bounding box.
 
+    Each representative slice is clustered over its brain, the pixels > 0.
     ``atlases`` maps slice index to Atlas and must cover every
     representative slice. Raises NoTumorDetectedError, with the report
     attached, when the fused map is empty (in strict mode, also when no
@@ -393,14 +393,7 @@ def run_pipeline(
         raw = timed("extract", extract_slice, volume, n)
         norm = timed("normalize", normalize, raw)
         enhanced = timed("enhance", enhance_contrast, norm, atlases[n], enhance)
-        label_map = timed(
-            "segment",
-            segment_slice,
-            enhanced,
-            method,
-            cluster_cfg,
-            include_background,
-        )
+        label_map = timed("segment", segment_slice, enhanced, method, cluster_cfg)
         maps.append(timed("tumor_map", extract_tumor_map, label_map, params))
         fits.append((label_map.degenerate, label_map.fit))
 

@@ -515,7 +515,7 @@ def _fit_record(method: str, res) -> dict:
     return {**record, "method": method, "best_restart": res.best_restart}
 
 
-def segmentation_fit(slc, method: str, cfg, include_background: bool = False) -> dict:
+def segmentation_fit(slc, method: str, cfg) -> dict:
     """The per-slice fit record, got by clustering the slice afresh.
 
     This is how ``extract --debug-dir`` built its files before the pipeline
@@ -526,9 +526,7 @@ def segmentation_fit(slc, method: str, cfg, include_background: bool = False) ->
     """
     from tumorbox.clustering import METHOD_KMEANS, em_gmm_1d, kmeans_1d
 
-    data = slc.data
-    mask = np.ones(data.shape, dtype=bool) if include_background else data > 0
-    values = data[mask]
+    values = slc.data[slc.data > 0]
     if values.size == 0:
         return {"slice_index": slc.index, "empty": True}
     res = (kmeans_1d if method == METHOD_KMEANS else em_gmm_1d)(values, cfg)
@@ -551,7 +549,7 @@ def rank_by_mean_reference(raw_labels: np.ndarray, values: np.ndarray, k: int, f
     return rank
 
 
-def segment_slice_reference(slc, method: str, cfg, include_background: bool = False):
+def segment_slice_reference(slc, method: str, cfg):
     """``clustering.segment_slice`` as it ran before the fits ended in value
     space: ``np.unique`` with the pixel-to-value inverse, the fit's classes
     gathered to the pixels (for EM, its posteriors expanded to (n, k) and
@@ -562,7 +560,7 @@ def segment_slice_reference(slc, method: str, cfg, include_background: bool = Fa
     from tumorbox.clustering import METHOD_KMEANS, em_gmm_1d, hard_assign, kmeans_1d
 
     data = slc.data
-    mask = np.ones(data.shape, dtype=bool) if include_background else data > 0
+    mask = data > 0
     values = data[mask]
     labels = np.zeros(data.shape, dtype=np.int32)
     if values.size == 0:

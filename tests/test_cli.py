@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ def run(argv):
     return main(argv)
 
 
-def assert_debug_dump_is_fresh_fit(debug, volume_path, atlas_dir, method, background):
+def assert_debug_dump_is_fresh_fit(debug, volume_path, atlas_dir, method):
     """Each debug_slice_*.json equals, byte for byte, the file written from
     a second clustering of the same enhanced slice."""
     from oracles import segmentation_fit
@@ -39,7 +40,7 @@ def assert_debug_dump_is_fresh_fit(debug, volume_path, atlas_dir, method, backgr
     for n in SLICE_INDICES:
         atlas = load_atlas(atlas_dir / _atlas_filename(n))
         enhanced = enhance_contrast(normalize(extract_slice(volume, n)), atlas)
-        expected = segmentation_fit(enhanced, method, ClusterConfig(), background)
+        expected = segmentation_fit(enhanced, method, ClusterConfig())
         assert "empty" not in expected
         text = (debug / f"debug_slice_{n:03d}.json").read_text()
         assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n", f"slice {n}"
@@ -141,6 +142,20 @@ class TestPhantomCommand:
         assert code == 2
         assert any("tumor_radius must be finite" in rec.getMessage() for rec in caplog.records)
         assert not list(out.rglob("*"))
+
+    def test_negative_seed_in_spec_file_is_usage_error(self, tmp_path, caplog):
+        from tumorbox.phantom import PhantomSpec
+
+        payload = PhantomSpec().to_dict()
+        payload["seed"] = -1
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        out = tmp_path / "x"
+        with caplog.at_level("ERROR"):
+            code = run(["phantom", "--out-dir", str(out), "--spec", str(spec_path)])
+        assert code == 2
+        assert "seed must be >= 0, got -1" in caplog.text
+        assert not out.exists()
 
     def test_bad_placement_of_a_later_case_writes_nothing(self, tmp_path, caplog):
         argv = ["phantom", "--seed", "2", "--dims", "24", "24", "12", "--radius-min", "2", "--radius-max", "5.5"]
@@ -425,20 +440,16 @@ class TestExtract:
         assert payload["method"] == "kmeans"
         assert {"centroids", "objective", "objective_trace", "n_iter", "best_restart"} <= set(payload)
 
-    @pytest.mark.parametrize("background", [False, True], ids=["brain", "background"])
-    @pytest.mark.parametrize("method", ["kmeans", "em"])
-    def test_debug_dump_is_the_fit_of_each_slice(
-        self, phantom_dir, atlas_dir, tmp_path, capsys, method, background
-    ):
+    @pytest.mark.parametrize("method", ["kmeans", "em"], ids=["kmeans-brain", "em-brain"])
+    def test_debug_dump_is_the_fit_of_each_slice(self, phantom_dir, atlas_dir, tmp_path, capsys, method):
         volume = phantom_dir / "phantom_002_flair.mha"
         debug = tmp_path / "debug"
         code = run([
             "extract", "--volume", str(volume), "--atlas-dir", str(atlas_dir),
             "--slices", SMALL_SLICES, "--method", method, "--debug-dir", str(debug),
-            *(["--cluster-background"] if background else []),
         ])
         assert code == 0
-        assert_debug_dump_is_fresh_fit(debug, volume, atlas_dir, method, background)
+        assert_debug_dump_is_fresh_fit(debug, volume, atlas_dir, method)
 
     @pytest.mark.parametrize("method, fits", [
         ("kmeans", {"kmeans_1d": 6, "em_gmm_1d": 0}),
@@ -495,7 +506,7 @@ class TestExtract:
             assert out == ""
         else:
             assert json.loads(out)["bbox"] is None
-        assert_debug_dump_is_fresh_fit(debug, volume, atlas_dir, method, False)
+        assert_debug_dump_is_fresh_fit(debug, volume, atlas_dir, method)
 
     def test_zero_volume_debug_dump_marks_empty_slices(self, tmp_path, atlas_dir):
         zero = tmp_path / "zero.mha"
@@ -509,18 +520,6 @@ class TestExtract:
         for n in SLICE_INDICES:
             payload = json.loads((debug / f"debug_slice_{n:03d}.json").read_text())
             assert payload == {"slice_index": n, "empty": True}
-
-    def test_cluster_background_flag_runs(self, phantom_dir, atlas_dir, capsys):
-        code = run([
-            "extract",
-            "--volume", str(phantom_dir / "phantom_000_flair.mha"),
-            "--atlas-dir", str(atlas_dir),
-            "--slices", SMALL_SLICES,
-            "--method", "kmeans",
-            "--cluster-background",
-        ])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["bbox"] is not None
 
     def test_unconverged_em_warns_once_naming_volume_and_slices(
         self, phantom_dir, atlas_dir, tmp_path, capsys, caplog
@@ -657,31 +656,6 @@ class TestEval:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["cohorts"][0]["formula"] == "paper-union"
 
-    def test_cluster_background_reaches_pipeline(
-        self, phantom_dir, atlas_dir, tmp_path, monkeypatch, capsys
-    ):
-        import tumorbox.evaluate as ev
-
-        seen = []
-        real = ev.run_pipeline
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("include_background"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ev, "run_pipeline", spy)
-        code = run([
-            "eval",
-            "--manifest", str(phantom_dir / "manifest.csv"),
-            "--atlas-dir", str(atlas_dir),
-            "--out-dir", str(tmp_path / "bg"),
-            "--slices", SMALL_SLICES,
-            "--method", "kmeans",
-            "--cluster-background",
-        ])
-        assert code == 0
-        assert seen == [True, True, True]
-
     def test_jobs_flag_same_result(self, phantom_dir, atlas_dir, tmp_path, capsys):
         outs = []
         for name, jobs in (("j1", "1"), ("j2", "2")):
@@ -791,8 +765,10 @@ class TestUnreadFlags:
         (["select-slices", "--manifest", "m.csv"], ["--slices", "abc"]),
         (["phantom", "--out-dir", "out"], ["--slices", "1,2"]),
         (["atlas", "build", "--manifest", "m.csv", "--out-dir", "out"], ["--seed", "3"]),
+        (["extract", "--volume", "v.mha", "--atlas-dir", "a"], ["--cluster-background"]),
+        (["eval", "--manifest", "m.csv", "--out-dir", "out"], ["--cluster-background"]),
     ], ids=["select-slices-seed", "select-slices-config", "select-slices-slices", "phantom-slices",
-            "atlas-build-seed"])
+            "atlas-build-seed", "extract-cluster-background", "eval-cluster-background"])
     def test_flag_the_subcommand_does_not_read_is_rejected(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)
         assert run([*argv, *flag]) == 2
@@ -811,12 +787,15 @@ class TestUnreadFlags:
         assert args.verbose == 1
 
 
+MANIFEST_COMMANDS = pytest.mark.parametrize("argv", [
+    ["atlas", "build", "--out-dir", "out"],
+    ["eval", "--atlas-dir", "atlases", "--out-dir", "out"],
+    ["select-slices"],
+], ids=["atlas-build", "eval", "select-slices"])
+
+
 class TestEmptyManifest:
-    @pytest.mark.parametrize("argv", [
-        ["atlas", "build", "--out-dir", "out"],
-        ["eval", "--atlas-dir", "atlases", "--out-dir", "out"],
-        ["select-slices"],
-    ], ids=["atlas-build", "eval", "select-slices"])
+    @MANIFEST_COMMANDS
     def test_header_only_manifest_is_usage_error(self, tmp_path, caplog, capsys, argv):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("intensity_path,gt_path,cohort\n")
@@ -827,6 +806,28 @@ class TestEmptyManifest:
         assert f"manifest {manifest} lists no cases" in caplog.text
         assert capsys.readouterr().out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
+
+
+class TestShortManifestRow:
+    @MANIFEST_COMMANDS
+    def test_row_with_fewer_fields_than_the_header_is_format_error(
+        self, tmp_path, phantom_dir, caplog, capsys, argv
+    ):
+        # the first row's files exist and would read; the second row lacks
+        # its cohort, so no case can be keyed or grouped
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "intensity_path,gt_path,cohort\n"
+            f"{phantom_dir / 'phantom_000_flair.mha'},{phantom_dir / 'phantom_000_gt.mha'},Phantom\n"
+            f"{phantom_dir / 'phantom_001_flair.mha'},{phantom_dir / 'phantom_001_gt.mha'}\n"
+        )
+        argv = [str(tmp_path / a) if a in ("out", "atlases") else a for a in argv]
+        with caplog.at_level("ERROR"):
+            code = run([*argv, "--manifest", str(manifest)])
+        assert code == 4
+        assert f"manifest {manifest} line 3 has fewer fields than its header" in caplog.text
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cases", "manifest.csv"]
 
 
 class TestConfigPrecedence:
@@ -993,29 +994,31 @@ class TestTextEncoding:
 
 class TestConfigSurface:
     REMOVED = [
+        (None, "cluster_background", False),
         ("cluster", "init", "quantile-spread"),
         ("extract", "area_max", None),
         ("extract", "min_quadrant_pixels", 1),
         ("enhance", "atlas_min_count", 1),
     ]
 
-    def test_nineteen_settable_keys(self):
-        nested = {
-            f"{section}.{f.name}"
-            for section, cls in _NESTED.items()
-            for f in dataclasses.fields(cls)
-            if f.name not in _TOP_LEVEL
-        }
+    NESTED = {
+        f"{section}.{f.name}"
+        for section, cls in _NESTED.items()
+        for f in dataclasses.fields(cls)
+        if f.name not in _TOP_LEVEL
+    }
+
+    def test_eighteen_settable_keys(self):
         assert sorted(_TOP_LEVEL) == [
-            "cluster_background", "dice_formula", "jobs", "loo", "method", "seed", "strict",
+            "dice_formula", "jobs", "loo", "method", "seed", "strict",
         ]
-        assert sorted(nested) == [
+        assert sorted(self.NESTED) == [
             "cluster.k", "cluster.max_iter", "cluster.n_restarts", "cluster.tol",
             "enhance.gain_down", "enhance.gain_up",
             "extract.area_max_fraction", "extract.area_min", "extract.bbox_margin",
             "extract.radius_margin", "extract.representative_slices", "extract.vote_threshold",
         ]
-        assert len(_TOP_LEVEL) + len(nested) == 19
+        assert len(_TOP_LEVEL) + len(self.NESTED) == 18
 
     def test_readme_config_block_is_the_defaults_and_names_every_nested_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -1025,17 +1028,27 @@ class TestConfigSurface:
         for section, cls in _NESTED.items():
             assert set(payload[section]) == {f.name for f in dataclasses.fields(cls)} - _TOP_LEVEL
 
-    @pytest.mark.parametrize("section, key, value", REMOVED, ids=[f"{s}.{k}" for s, k, _ in REMOVED])
+    def test_readme_counts_and_names_every_top_level_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        config = readme.split("## Configuration", 1)[1]
+        (paragraph,) = [p for p in config.split("\n\n") if "settable keys" in p]
+        count = re.search(r"That makes (\d+) settable keys", paragraph.replace("\n", " "))
+        assert int(count.group(1)) == len(_TOP_LEVEL) + len(self.NESTED)
+        for key in _TOP_LEVEL:
+            assert f"`{key}`" in paragraph, key
+        assert "--cluster-background" not in readme
+
+    @pytest.mark.parametrize("section, key, value", REMOVED, ids=[f"{s}.{k}" if s else k for s, k, _ in REMOVED])
     def test_removed_key_is_unknown(self, tmp_path, caplog, section, key, value):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({section: {key: value}}))
+        cfg.write_text(json.dumps({section: {key: value}} if section else {key: value}))
         with caplog.at_level("ERROR"):
             code = run([
                 "eval", "--manifest", str(tmp_path / "absent.csv"),  # never read: exit 2, not 4
                 "--out-dir", str(tmp_path / "out"), "--loo", "--config", str(cfg),
             ])
         assert code == 2
-        assert f"unknown {section} config key(s): {key}" in caplog.text
+        assert f"unknown {section + ' ' if section else ''}config key(s): {key}" in caplog.text
         assert not (tmp_path / "out").exists()
 
     def test_eval_has_no_strict_flag(self, tmp_path, capsys):

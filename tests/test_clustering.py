@@ -667,11 +667,6 @@ class TestSegmentSlice:
                     means.append(members.mean())
             assert np.all(np.diff(means) >= 0)
 
-    def test_include_background_clusters_everything(self):
-        data = np.array([[0.0, 0.0], [0.5, 0.9]])
-        lm = segment_slice(make_slice(data), "kmeans", ClusterConfig(k=2), include_background=True)
-        assert np.all(lm.labels > 0)
-
     def test_phantom_tumor_lands_in_class_five(self, phantom_cases, phantom_atlases):
         from tumorbox.preprocess import enhance_contrast, normalize
 
@@ -735,10 +730,10 @@ class TestSegmentSliceMatchesReference:
     labels, fit and degenerate flag, to the bit."""
 
     @staticmethod
-    def assert_matches(slc, method, cfg=None, include_background=False):
+    def assert_matches(slc, method, cfg=None):
         cfg = cfg or ClusterConfig()
-        lm = segment_slice(slc, method, cfg, include_background)
-        labels, fit, degenerate = segment_slice_reference(slc, method, cfg, include_background)
+        lm = segment_slice(slc, method, cfg)
+        labels, fit, degenerate = segment_slice_reference(slc, method, cfg)
         assert lm.labels.dtype == labels.dtype and np.array_equal(lm.labels, labels)
         assert (lm.fit, lm.degenerate) == (fit, degenerate)
         return lm
@@ -763,12 +758,6 @@ class TestSegmentSliceMatchesReference:
     def test_brats_like_int16_slices(self, method, case, phantom_cases, phantom_atlases):
         for n in PHANTOM_REP_SLICES:
             self.assert_matches(self.enhanced(phantom_cases[case][1], n, phantom_atlases, brats_like), method)
-
-    @pytest.mark.parametrize("method", ["em", "kmeans"])
-    def test_include_background(self, method, phantom_cases, phantom_atlases):
-        slc = self.enhanced(phantom_cases[0][1], 32, phantom_atlases, brats_like)
-        lm = self.assert_matches(slc, method, include_background=True)
-        assert np.all(lm.labels > 0)
 
     @pytest.mark.parametrize("method", ["em", "kmeans"])
     def test_all_zero_slice(self, method):

@@ -27,7 +27,7 @@ from tumorbox.evaluate import (
 )
 from tumorbox.mha import read_mha, write_mha
 from tumorbox.pipeline import BBox, ExtractParams
-from tumorbox.volume import Slice, Volume
+from tumorbox.volume import KIND_LABEL, Slice, Volume
 
 
 class TestBinarize:
@@ -216,6 +216,20 @@ class TestEvaluateCase:
         assert result.dice == 0.0
         assert result.bbox_pred is None
 
+    def test_ground_truth_plane_of_another_shape_is_rejected_before_the_pipeline(
+        self, monkeypatch, phantom_cases, phantom_atlases
+    ):
+        spec, vol, gt = phantom_cases[0]
+        cropped = Volume(data=gt.data[:, 16:112, 16:112], kind=KIND_LABEL)  # keeps the tumor
+        monkeypatch.setattr(ev, "run_pipeline", lambda *a, **k: pytest.fail("pipeline ran"))
+        cfg = RunConfig(extract=ExtractParams(representative_slices=PHANTOM_REP_SLICES))
+        for plane in (cropped, cumulative_gt(cropped)):
+            with pytest.raises(ValidationError) as info:
+                evaluate_case(vol, plane, phantom_atlases, cfg)
+            assert str(info.value) == (
+                "ground truth plane has shape (96, 96), but the volume's slices have shape (128, 128)"
+            )
+
 
 class TestManifest:
     def test_round_trip_and_relative_paths(self, tmp_path):
@@ -226,6 +240,14 @@ class TestManifest:
         assert cases[0].case_id == "case_flair"
         assert cases[0].intensity_path == tmp_path / "case_flair.mha"
         assert cases[0].cohort == "HGG"
+
+    def test_short_row_rejected_but_empty_field_kept(self, tmp_path):
+        man = tmp_path / "short.csv"
+        man.write_text("intensity_path,gt_path,cohort\na_flair.mha,,HGG\nb_flair.mha,b_gt.mha\n")
+        with pytest.raises(FormatError, match=f"manifest {man} line 3 has fewer fields than its header"):
+            read_manifest(man)
+        man.write_text("intensity_path,gt_path,cohort\na_flair.mha,,HGG\n")
+        assert [(c.case_id, c.gt_path) for c in read_manifest(man)] == [("a_flair", tmp_path)]
 
     def test_missing_columns_rejected(self, tmp_path):
         man = tmp_path / "bad.csv"
@@ -447,6 +469,25 @@ class TestWorkerProcesses:
         rows, errors = results[0]
         assert [r[0] for r in rows] == ["p0_flair", "p1_flair", "p2_flair"]
         assert [e.case_id for e in errors] == ["ghost_flair"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_ground_truth_of_another_shape_is_an_error_row(self, tmp_path, phantom_cases, phantom_atlases, jobs):
+        clean_dir, bad_dir = tmp_path / "clean", tmp_path / "bad"
+        clean_dir.mkdir()
+        bad_dir.mkdir()
+        clean = read_manifest(write_phantom_manifest(clean_dir, phantom_cases[:3]))
+        bad = read_manifest(write_phantom_manifest(bad_dir, phantom_cases[:3]))
+        write_mha(Volume(data=phantom_cases[1][2].data[:, 16:112, 16:112], kind=KIND_LABEL), bad_dir / "p1_gt.mha")
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        cfg = RunConfig(method="kmeans", extract=params, jobs=jobs)
+        clean_rows, clean_errors = case_rows(evaluate_cohort(clean, phantom_atlases, cfg))
+        rows, errors = case_rows(evaluate_cohort(bad, phantom_atlases, cfg))
+        assert clean_errors == []
+        assert rows == [clean_rows[0], clean_rows[2]]
+        assert [(e.case_id, e.message) for e in errors] == [(
+            "p1_flair",
+            "ground truth plane has shape (96, 96), but the volume's slices have shape (128, 128)",
+        )]
 
     def test_workers_capped_at_case_count_and_joined(self, tmp_path, monkeypatch, phantom_cases, phantom_atlases):
         started = []

@@ -100,6 +100,11 @@ def test_negative_sigma_rejected():
         small_spec(noise_sigma=-0.1)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        PhantomSpec(seed=-1)
+
+
 @pytest.mark.parametrize("field, value", [
     ("brain_center", (float("nan"), 20.0, 12.0)),
     ("brain_radii", (16.0, float("inf"), 10.0)),
