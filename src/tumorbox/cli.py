@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .config import DEFAULT_SEED, DICE_FORMULAS, METHODS, RunConfig, build_run_config, load_config_file
+from .config import DEFAULT_SEED, METHODS, RunConfig, build_run_config, load_config_file
 from .errors import (
     ConfigurationError,
     EmptyGroundTruthError,
@@ -70,7 +70,6 @@ def _resolve_config(args) -> RunConfig:
     flags = {
         "method": getattr(args, "method", None),
         "seed": getattr(args, "seed", None),
-        "dice_formula": getattr(args, "dice_formula", None),
         "strict": getattr(args, "strict", None),
         "loo": getattr(args, "loo", None),
         "jobs": getattr(args, "jobs", None),
@@ -189,6 +188,14 @@ def cmd_extract(args) -> int:
     return 0
 
 
+_CORNERS = ("row_min", "col_min", "row_max", "col_max")
+
+
+def _box_fields(box) -> list:
+    """A box's four corners as CSV fields; four empty fields for no box."""
+    return [getattr(box, c) if box else "" for c in _CORNERS]
+
+
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     cases = _read_cases(args.manifest)
@@ -203,14 +210,18 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = [("case_id", "cohort", "method", "dice", "failed", "wall_ms")]
+    rows = [(
+        "case_id", "cohort", "method", "dice", "dice_paper_union", "failed",
+        *(f"pred_{c}" for c in _CORNERS), *(f"gt_{c}" for c in _CORNERS), "wall_ms",
+    )]
     for cohort_result in results:
         method = cohort_result.method
         rows += [
-            (c.case_id, c.cohort, method, f"{c.dice:.6f}", int(c.failed), f"{c.wall_ms:.0f}")
+            (c.case_id, c.cohort, method, f"{c.dice:.6f}", f"{c.dice_paper_union:.6f}", int(c.failed),
+             *_box_fields(c.bbox_pred), *_box_fields(c.bbox_gt), f"{c.wall_ms:.0f}")
             for c in cohort_result.cases
         ]
-        rows += [(e.case_id, e.cohort, method, "", "error", "") for e in cohort_result.errors]
+        rows += [(e.case_id, e.cohort, method, "", "", "error", *("",) * 9) for e in cohort_result.errors]
     # csv quotes a cohort or case ID that holds a comma, as read_manifest reads it.
     with atomic_open(out_dir / f"results_{cfg.method}.csv") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
@@ -344,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--manifest", required=True)
     p_eval.add_argument("--atlas-dir", default=None)
     p_eval.add_argument("--out-dir", required=True)
-    p_eval.add_argument("--dice-formula", choices=DICE_FORMULAS, default=None)
     p_eval.add_argument(
         "--loo",
         action="store_const",

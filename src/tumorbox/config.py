@@ -18,9 +18,6 @@ from .errors import ConfigurationError, FormatError, ValidationError
 from .pipeline import ExtractParams
 from .preprocess import EnhanceParams
 
-FORMULA_STANDARD = "standard"
-FORMULA_PAPER_UNION = "paper-union"
-DICE_FORMULAS = (FORMULA_STANDARD, FORMULA_PAPER_UNION)
 METHODS = (METHOD_EM, METHOD_KMEANS)
 
 
@@ -55,11 +52,11 @@ class RunConfig:
 
     ``seed`` and ``strict`` are set here only: construction copies them into
     ``cluster.seed`` and ``extract.strict``, where the stages read them.
+    ``cluster.k`` is not a setting: it is pinned to 5 for the tumor map.
     """
 
     method: str = METHOD_EM
     seed: int = DEFAULT_SEED
-    dice_formula: str = FORMULA_STANDARD
     strict: bool = False
     loo: bool = False
     jobs: int = 1
@@ -70,12 +67,10 @@ class RunConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             _check_type(f.name, getattr(self, f.name), f.type)
-        for key, allowed in (("method", METHODS), ("dice_formula", DICE_FORMULAS)):
-            if getattr(self, key) not in allowed:
-                raise ConfigurationError(
-                    f"config key {key!r} must be one of {', '.join(allowed)}, "
-                    f"got {getattr(self, key)!r}"
-                )
+        if self.method not in METHODS:
+            raise ConfigurationError(
+                f"config key 'method' must be one of {', '.join(METHODS)}, got {self.method!r}"
+            )
         if self.jobs < 1:
             raise ConfigurationError(f"config key 'jobs' must be >= 1, got {self.jobs}")
         if self.jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
@@ -85,12 +80,7 @@ class RunConfig:
             )
         if self.seed < 0:
             raise ConfigurationError(f"config key 'seed' must be >= 0, got {self.seed}")
-        if self.cluster.k != 5:
-            raise ConfigurationError(
-                f"config key 'cluster.k' must be 5, since the tumor map reads "
-                f"classes 5 and 4; got {self.cluster.k}"
-            )
-        object.__setattr__(self, "cluster", replace(self.cluster, seed=self.seed))
+        object.__setattr__(self, "cluster", replace(self.cluster, seed=self.seed, k=5))
         object.__setattr__(self, "extract", replace(self.extract, strict=self.strict))
 
 
@@ -111,6 +101,10 @@ def _build_section(section: str, values: dict):
         raise ConfigurationError(
             f"config key '{section}.{shadowed[0]}' is not allowed; "
             f"set {shadowed[0]!r} at the top level"
+        )
+    if section == "cluster" and "k" in values:
+        raise ConfigurationError(
+            "config key 'cluster.k' is not allowed; it is always 5, since the tumor map reads classes 5 and 4"
         )
     checked = {
         key: _check_type(f"{section}.{key}", value, types_by_name[key])

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DICE_FORMULAS, FORMULA_STANDARD, RunConfig
+from .config import RunConfig
 from .errors import (
     ConfigurationError,
     EmptyGroundTruthError,
@@ -32,6 +32,10 @@ from .preprocess import Atlas, build_atlas
 from .volume import KIND_LABEL, Slice, Volume, extract_slice
 
 log = logging.getLogger(__name__)
+
+FORMULA_STANDARD = "standard"
+FORMULA_PAPER_UNION = "paper-union"
+DICE_FORMULAS = (FORMULA_STANDARD, FORMULA_PAPER_UNION)
 
 
 def binarize_gt(gt_slice: Slice) -> Slice:
@@ -76,8 +80,8 @@ def dice_box(a: BBox, b: BBox, dims: tuple[int, int], formula: str = FORMULA_STA
     """Dice overlap of two axis-aligned boxes, in closed form.
 
     ``dims`` is (width, height) of the underlying image. "standard" is
-    2|A∩B| / (|A| + |B|); "paper-union" divides by |A∪B| instead, which
-    exceeds 1 for nested boxes and is reported unclamped with a warning.
+    2|A∩B| / (|A| + |B|), in [0, 1]; "paper-union" divides by |A∪B| instead,
+    which lies in [0, 2] (2 for identical boxes) and is returned unclamped.
     """
     if formula not in DICE_FORMULAS:
         raise ValidationError(f"unknown dice formula: {formula!r}")
@@ -88,11 +92,7 @@ def dice_box(a: BBox, b: BBox, dims: tuple[int, int], formula: str = FORMULA_STA
     inter = _intersection(a, b)
     if formula == FORMULA_STANDARD:
         return 2.0 * inter / (a.area + b.area)
-    union = a.area + b.area - inter
-    value = 2.0 * inter / union
-    if value > 1.0:
-        log.warning("paper-union dice %.4f exceeds 1 (boxes overlap heavily)", value)
-    return value
+    return 2.0 * inter / (a.area + b.area - inter)
 
 
 @dataclass
@@ -100,6 +100,7 @@ class CaseResult:
     case_id: str
     cohort: str
     dice: float
+    dice_paper_union: float
     failed: bool
     bbox_pred: BBox | None
     bbox_gt: BBox
@@ -116,7 +117,7 @@ class ErrorRecord:
 
 @dataclass
 class CohortResult:
-    """Scores for one cohort under one method and formula.
+    """Scores for one cohort under one method, in both Dice forms.
 
     Failed detections are scored 0 and stay in the mean; unreadable cases
     are recorded as errors and excluded from it, but never silently dropped.
@@ -124,7 +125,6 @@ class CohortResult:
 
     cohort: str
     method: str
-    dice_formula: str
     cases: list[CaseResult] = field(default_factory=list)
     errors: list[ErrorRecord] = field(default_factory=list)
 
@@ -135,6 +135,10 @@ class CohortResult:
     @property
     def mean_dice(self) -> float:
         return float(np.mean(self.dice)) if self.cases else 0.0
+
+    @property
+    def mean_dice_paper_union(self) -> float:
+        return float(np.mean([c.dice_paper_union for c in self.cases])) if self.cases else 0.0
 
     @property
     def n(self) -> int:
@@ -151,8 +155,8 @@ class CohortResult:
         return {
             "cohort": self.cohort,
             "method": self.method,
-            "formula": self.dice_formula,
             "mean_dice": round(self.mean_dice, 6),
+            "mean_dice_paper_union": round(self.mean_dice_paper_union, 6),
             "n": self.n,
             "n_failed": self.n_failed,
             "n_errors": len(self.errors),
@@ -212,7 +216,8 @@ def evaluate_case(
     return CaseResult(
         case_id=case_id,
         cohort=cohort,
-        dice=0.0 if bbox is None else dice_box(bbox, box_gt, dims, cfg.dice_formula),
+        dice=0.0 if bbox is None else dice_box(bbox, box_gt, dims),
+        dice_paper_union=0.0 if bbox is None else dice_box(bbox, box_gt, dims, FORMULA_PAPER_UNION),
         failed=bbox is None,
         bbox_pred=bbox,
         bbox_gt=box_gt,
@@ -278,9 +283,9 @@ def _run_case(i, cases, prepass, totals, atlases, cfg):
     error row."""
     case = cases[i]
     try:
-        volume = read_mha(case.intensity_path)
         if isinstance(prepass[i], Exception):
             raise prepass[i]
+        volume = read_mha(case.intensity_path)
         gt_slices, gt = prepass[i]
         case_atlases = atlases
         if cfg.loo:
@@ -366,7 +371,7 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
         ) as pool:
             outcomes = list(pool.map(_run_worker_case, range(len(cases))))
 
-    result = CohortResult(cohort=cohort, method=cfg.method, dice_formula=cfg.dice_formula)
+    result = CohortResult(cohort=cohort, method=cfg.method)
     for outcome in outcomes:
         if isinstance(outcome, ErrorRecord):
             result.errors.append(outcome)

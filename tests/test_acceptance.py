@@ -58,24 +58,18 @@ def test_brats_cohort_reference_scores():
     expected = {"em": {"HGG": 0.75, "LGG": 0.69}, "kmeans": {"HGG": 0.55, "LGG": 0.50}}
     params = ExtractParams()
     overall_em = []
-    for formula in ("standard", "paper-union"):
-        for method, cohort_targets in expected.items():
-            results = evaluate_manifest(
-                manifest,
-                None,
-                RunConfig(method=method, extract=params, dice_formula=formula, loo=True),
+    for method, cohort_targets in expected.items():
+        results = evaluate_manifest(manifest, None, RunConfig(method=method, extract=params, loo=True))
+        for res in results:
+            print(
+                f"[brats] method={method} cohort={res.cohort} mean={res.mean_dice:.3f} "
+                f"mean_paper_union={res.mean_dice_paper_union:.3f} n={res.n}"
             )
-            for res in results:
-                print(
-                    f"[brats] formula={formula} method={method} cohort={res.cohort} "
-                    f"mean={res.mean_dice:.3f} n={res.n}"
-                )
-                if formula == "standard":
-                    target = cohort_targets.get(res.cohort)
-                    if target is not None:
-                        assert abs(res.mean_dice - target) <= 0.08
-                    if method == "em":
-                        overall_em.extend(res.dice)
+            target = cohort_targets.get(res.cohort)
+            if target is not None:
+                assert abs(res.mean_dice - target) <= 0.08
+            if method == "em":
+                overall_em.extend(res.dice)
     assert abs(float(np.mean(overall_em)) - 0.73) <= 0.08
 
 

@@ -9,15 +9,23 @@ import numpy as np
 import pytest
 
 from tumorbox.cli import _atlas_filename, build_parser, main
-from tumorbox.config import _NESTED, _TOP_LEVEL, build_run_config
+from tumorbox.clustering import ClusterConfig
+from tumorbox.config import _NESTED, _TOP_LEVEL, RunConfig, build_run_config
 from tumorbox.errors import ConfigurationError
-from tumorbox.mha import write_mha
+from tumorbox.evaluate import cumulative_gt, dice_box, gt_box
+from tumorbox.mha import read_mha, write_mha
+from tumorbox.pipeline import BBox
 from tumorbox.volume import Volume
 
 # Tiny phantoms keep CLI runs fast; slices chosen to cross the tumor ball.
 SMALL = ["--dims", "48", "48", "24", "--radius-min", "4", "--radius-max", "6"]
 SLICE_INDICES = (10, 11, 12, 13, 14, 15)
 SMALL_SLICES = ",".join(map(str, SLICE_INDICES))
+CORNERS = ("row_min", "col_min", "row_max", "col_max")
+RESULTS_HEADER = (
+    "case_id,cohort,method,dice,dice_paper_union,failed,"
+    "pred_row_min,pred_col_min,pred_row_max,pred_col_max,gt_row_min,gt_col_min,gt_row_max,gt_col_max,wall_ms"
+)
 
 
 def run(argv):
@@ -565,7 +573,7 @@ class TestEval:
         assert summary["cohorts"][0]["cohort"] == "Phantom"
         assert summary["cohorts"][0]["n"] == 3
         csv_lines = (out / "results_kmeans.csv").read_text().strip().splitlines()
-        assert csv_lines[0] == "case_id,cohort,method,dice,failed,wall_ms"
+        assert csv_lines[0] == RESULTS_HEADER
         assert len(csv_lines) == 4
         assert (out / "summary_kmeans.json").exists()
 
@@ -643,18 +651,65 @@ class TestEval:
         assert not list(tmp_path.rglob("summary_*.json"))
 
     def test_paper_union_formula_labelled(self, phantom_dir, atlas_dir, tmp_path, capsys):
+        # Both Dice forms in one run, each in its own column and mean; the
+        # flag that picked one of them is gone.
         out = tmp_path / "pu"
-        code = run([
+        argv = [
             "eval",
             "--manifest", str(phantom_dir / "manifest.csv"),
             "--atlas-dir", str(atlas_dir),
             "--out-dir", str(out),
             "--slices", SMALL_SLICES,
             "--method", "kmeans",
-            "--dice-formula", "paper-union",
-        ])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["cohorts"][0]["formula"] == "paper-union"
+        ]
+        assert run([*argv, "--dice-formula", "paper-union"]) == 2
+        assert "unrecognized arguments: --dice-formula" in capsys.readouterr().err
+        assert not out.exists()
+
+        assert run(argv) == 0
+        cohort = json.loads(capsys.readouterr().out)["cohorts"][0]
+        assert "formula" not in cohort
+        with open(out / "results_kmeans.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        for row in rows:
+            assert row["failed"] == "0"
+            pred, gt = (BBox(*(int(row[f"{side}_{c}"]) for c in CORNERS)) for side in ("pred", "gt"))
+            for column, formula in (("dice", "standard"), ("dice_paper_union", "paper-union")):
+                assert float(row[column]) == pytest.approx(dice_box(pred, gt, (48, 48), formula), abs=5e-7)
+            assert float(row["dice"]) <= float(row["dice_paper_union"]) <= 2.0
+        for column in ("dice", "dice_paper_union"):
+            mean = np.mean([float(row[column]) for row in rows])
+            assert cohort[f"mean_{column}"] == pytest.approx(mean, abs=1e-6)
+
+    def test_rows_hold_the_boxes_extract_prints(self, tmp_path, capsys):
+        # The README quick-start cohort, with K-means: each row's predicted
+        # box is the box one-volume extract prints for that case, and its
+        # ground-truth box is that of the case's label volume.
+        cases, atlases, out = tmp_path / "cases", tmp_path / "atlases", tmp_path / "results"
+        manifest, slices = str(cases / "manifest.csv"), "26,30,32,34,36,40"
+        assert run(["phantom", "--out-dir", str(cases), "--count", "20", "--seed", "2015"]) == 0
+        assert run(["atlas", "build", "--manifest", manifest, "--out-dir", str(atlases), "--slices", slices]) == 0
+        assert run([
+            "eval", "--manifest", manifest, "--atlas-dir", str(atlases), "--out-dir", str(out),
+            "--slices", slices, "--method", "kmeans",
+        ]) == 0
+        capsys.readouterr()
+        with open(out / "results_kmeans.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["case_id"] for row in rows] == [f"phantom_{i:03d}_flair" for i in range(20)]
+        for row in rows:
+            assert run([
+                "extract", "--volume", str(cases / f"{row['case_id']}.mha"), "--atlas-dir", str(atlases),
+                "--slices", slices, "--method", "kmeans",
+            ]) == 0
+            printed = json.loads(capsys.readouterr().out)["bbox"]
+            assert [row[f"pred_{c}"] for c in CORNERS] == (
+                [str(printed[c]) for c in CORNERS] if printed else [""] * 4
+            )
+            gt_path = cases / row["case_id"].replace("_flair", "_gt.mha")
+            gt = gt_box(cumulative_gt(read_mha(gt_path, kind="label")))
+            assert [row[f"gt_{c}"] for c in CORNERS] == [str(getattr(gt, c)) for c in CORNERS]
 
     def test_jobs_flag_same_result(self, phantom_dir, atlas_dir, tmp_path, capsys):
         outs = []
@@ -716,17 +771,18 @@ class TestEval:
         text = (out / "results_kmeans.csv").read_text()
         with open(out / "results_kmeans.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["case_id", "cohort", "method", "dice", "failed", "wall_ms"]
+        assert ",".join(rows[0]) == RESULTS_HEADER
         assert [r[:3] for r in rows[1:]] == [
             ["phantom_000_flair", "HGG, site A", "kmeans"],
             ["gone, 9_flair", "HGG, site A", "kmeans"],
             ["phantom_001_flair", "LGG", "kmeans"],
         ]
-        assert rows[2][3:] == ["", "error", ""]
+        assert rows[2][3:] == ["", "", "error", *[""] * 9]
         for row in (rows[1], rows[3]):
-            assert 0.0 <= float(row[3]) <= 1.0 and row[4] in ("0", "1") and row[5].isdigit()
+            assert 0.0 <= float(row[3]) <= float(row[4]) <= 2.0 and row[5] in ("0", "1")
+            assert row[-1].isdigit()
         # fields without a comma are written as before, unquoted
-        assert '\n"gone, 9_flair","HGG, site A",kmeans,,error,\n' in text
+        assert '\n"gone, 9_flair","HGG, site A",kmeans,,,error,,,,,,,,,\n' in text
         assert f"\nphantom_001_flair,LGG,kmeans,{rows[3][3]}," in text
 
 
@@ -995,38 +1051,41 @@ class TestTextEncoding:
 class TestConfigSurface:
     REMOVED = [
         (None, "cluster_background", False),
+        (None, "dice_formula", "standard"),
         ("cluster", "init", "quantile-spread"),
+        ("cluster", "k", 5),
         ("extract", "area_max", None),
         ("extract", "min_quadrant_pixels", 1),
         ("enhance", "atlas_min_count", 1),
     ]
+    # A field the fitters still read, but which a config may not set.
+    NOT_SETTABLE = {("cluster", "k"): "config key 'cluster.k' is not allowed; it is always 5"}
 
     NESTED = {
         f"{section}.{f.name}"
         for section, cls in _NESTED.items()
         for f in dataclasses.fields(cls)
         if f.name not in _TOP_LEVEL
-    }
+    } - {"cluster.k"}
 
-    def test_eighteen_settable_keys(self):
+    def test_sixteen_settable_keys(self):
         assert sorted(_TOP_LEVEL) == [
-            "dice_formula", "jobs", "loo", "method", "seed", "strict",
+            "jobs", "loo", "method", "seed", "strict",
         ]
         assert sorted(self.NESTED) == [
-            "cluster.k", "cluster.max_iter", "cluster.n_restarts", "cluster.tol",
+            "cluster.max_iter", "cluster.n_restarts", "cluster.tol",
             "enhance.gain_down", "enhance.gain_up",
             "extract.area_max_fraction", "extract.area_min", "extract.bbox_margin",
             "extract.radius_margin", "extract.representative_slices", "extract.vote_threshold",
         ]
-        assert len(_TOP_LEVEL) + len(self.NESTED) == 18
+        assert len(_TOP_LEVEL) + len(self.NESTED) == 16
 
     def test_readme_config_block_is_the_defaults_and_names_every_nested_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("## Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
         payload = json.loads(block)
         assert build_run_config(payload) == build_run_config()
-        for section, cls in _NESTED.items():
-            assert set(payload[section]) == {f.name for f in dataclasses.fields(cls)} - _TOP_LEVEL
+        assert {f"{section}.{key}" for section in _NESTED for key in payload[section]} == self.NESTED
 
     def test_readme_counts_and_names_every_top_level_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -1036,7 +1095,8 @@ class TestConfigSurface:
         assert int(count.group(1)) == len(_TOP_LEVEL) + len(self.NESTED)
         for key in _TOP_LEVEL:
             assert f"`{key}`" in paragraph, key
-        assert "--cluster-background" not in readme
+        for flag in ("--cluster-background", "--dice-formula"):
+            assert flag not in readme
 
     @pytest.mark.parametrize("section, key, value", REMOVED, ids=[f"{s}.{k}" if s else k for s, k, _ in REMOVED])
     def test_removed_key_is_unknown(self, tmp_path, caplog, section, key, value):
@@ -1048,8 +1108,14 @@ class TestConfigSurface:
                 "--out-dir", str(tmp_path / "out"), "--loo", "--config", str(cfg),
             ])
         assert code == 2
-        assert f"unknown {section + ' ' if section else ''}config key(s): {key}" in caplog.text
+        unknown = f"unknown {section + ' ' if section else ''}config key(s): {key}"
+        assert self.NOT_SETTABLE.get((section, key), unknown) in caplog.text
         assert not (tmp_path / "out").exists()
+
+    def test_run_config_pins_k_and_copies_seed_and_strict(self):
+        # A Python caller cannot hand the pipeline another k either.
+        cfg = RunConfig(seed=9, strict=True, cluster=ClusterConfig(k=3, seed=1))
+        assert (cfg.cluster.k, cfg.cluster.seed, cfg.extract.strict) == (5, 9, True)
 
     def test_eval_has_no_strict_flag(self, tmp_path, capsys):
         code = run(["eval", "--manifest", "m.csv", "--out-dir", str(tmp_path / "out"), "--strict"])

@@ -152,12 +152,14 @@ class TestDiceBox:
             pu = dice_box(a, b, self.DIMS, "paper-union")
             assert pu >= std - 1e-15
 
-    def test_paper_union_flags_above_one(self, caplog):
+    def test_paper_union_unclamped_above_one(self, caplog):
+        # eval scores every case in both forms, so a near-identical box is
+        # routine and its union form, close to 2, is not worth a warning.
         a = BBox(10, 10, 20, 20)
-        with caplog.at_level("WARNING"):
-            value = dice_box(a, a, self.DIMS, "paper-union")
-        assert value == pytest.approx(2.0)
-        assert any("exceeds 1" in rec.message for rec in caplog.records)
+        with caplog.at_level("DEBUG"):
+            assert dice_box(a, a, self.DIMS, "paper-union") == 2.0
+            assert dice_box(a, BBox(10, 10, 20, 21), self.DIMS, "paper-union") == pytest.approx(242 / 132)
+        assert not caplog.records
 
     def test_box_outside_dims_rejected(self):
         with pytest.raises(ValidationError):
@@ -360,13 +362,14 @@ class TestEvaluateCohort:
             results.append(
                 evaluate_cohort(cases, None, RunConfig(method="kmeans", extract=params, loo=True, jobs=jobs))
             )
+            # the volume of a case whose ground truth could not be read is not read
             assert sorted(reads()) == sorted(
-                [(c.intensity_path.name, "intensity") for c in cases]
+                [(c.intensity_path.name, "intensity") for c in cases if c.case_id != "ghost_flair"]
                 + [(c.gt_path.name, "label") for c in cases]
             )
         one, two = results
-        assert [(c.case_id, c.dice, c.failed, c.bbox_pred, c.bbox_gt) for c in one.cases] == [
-            (c.case_id, c.dice, c.failed, c.bbox_pred, c.bbox_gt) for c in two.cases
+        assert [(c.case_id, c.dice, c.dice_paper_union, c.failed, c.bbox_pred, c.bbox_gt) for c in one.cases] == [
+            (c.case_id, c.dice, c.dice_paper_union, c.failed, c.bbox_pred, c.bbox_gt) for c in two.cases
         ]
         assert one.errors == two.errors
         assert one.n == 3
@@ -377,8 +380,8 @@ class TestEvaluateCohort:
     def test_fixed_atlas_reads_each_ground_truth_once(self, tmp_path, monkeypatch, phantom_cases, phantom_atlases):
         man = write_phantom_manifest(tmp_path, phantom_cases[:2])
         # a shallow ground truth is scored (only LOO needs its representative
-        # slices); a missing one is an error row, and a missing flair is
-        # named before its missing ground truth
+        # slices); a missing one is an error row named after it, and its
+        # volume is not read, whether or not that volume exists
         spec, vol, gt = phantom_cases[2]
         write_mha(vol, tmp_path / "shallow_flair.mha")
         write_mha(Volume(data=gt.data[25:35], kind="label"), tmp_path / "shallow_gt.mha")
@@ -394,14 +397,14 @@ class TestEvaluateCohort:
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
         result = evaluate_cohort(cases, phantom_atlases, RunConfig(method="kmeans", extract=params, jobs=2))
         assert sorted(reads()) == sorted(
-            [(c.intensity_path.name, "intensity") for c in cases]
+            [(c.intensity_path.name, "intensity") for c in cases[:3]]
             + [(c.gt_path.name, "label") for c in cases]
         )
         assert [c.case_id for c in result.cases] == ["p0_flair", "p1_flair", "shallow_flair"]
         assert result.cases[2].bbox_gt == gt_box(cumulative_gt(gt))
         assert [e.case_id for e in result.errors] == ["ghost_flair", "void_flair"]
         assert "ghost_gt.mha" in result.errors[0].message
-        assert "void_flair.mha" in result.errors[1].message
+        assert "void_gt.mha" in result.errors[1].message
 
     def test_loo_needs_two_cases(self, tmp_path, phantom_cases):
         man = write_phantom_manifest(tmp_path, phantom_cases[:1])
