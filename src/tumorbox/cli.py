@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="leave-one-out: rebuild the atlas without the case under test",
     )
-    p_eval.add_argument("--jobs", type=int, default=None, help="cases evaluated at once, in forked worker processes")
+    p_eval.add_argument("--jobs", type=int, default=None, help="cases evaluated at once, in this process and forked workers")
     p_eval.add_argument("--margin", type=int, default=None)
     p_eval.add_argument("--method", choices=METHODS, default=None)
     _add_common(p_eval, "--seed", "--config", "--slices")

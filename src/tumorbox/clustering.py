@@ -11,12 +11,14 @@ Lloyd step is k - 1 binary-search cuts and its partition is one state,
 ``(owners, bounds)``: the center of each interval in value order and the
 k + 1 cut positions. Each cluster's size, mean and sum of squares are
 prefix-sum differences, O(k log m) per iteration for m distinct values.
-From a partition, an ordinary step depends on its bounds alone, so a
-restart that reaches bounds an earlier restart of the fit passed through,
-and from which that restart converged on the ordinary path alone, stops
-there: it would end with the same objective and lose the tie. Where a cut
-is uncertain or an interval empty, one exact numpy pass decides every value
-and repairs empty clusters. EM fits a
+A value a few ulps from a midpoint is decided by the exact ``|x - c|``
+comparison. From a partition, an ordinary step depends on its bounds
+alone, so a restart that reaches bounds an earlier restart of the fit
+passed through, and from which that restart converged on the ordinary path
+alone, stops there: it would end with the same objective and lose the tie.
+Where that comparison ties exactly, two centers (nearly) coincide or an
+interval is empty, one exact numpy pass decides every value and repairs
+empty clusters. EM fits a
 Gaussian mixture to the distinct values weighted by their counts (exact
 grouped-data EM): posteriors are (k, m), and each step is one small matrix
 product on the design [1, x, x^2].
@@ -235,34 +237,10 @@ def _starts(hist: _Histogram, cfg: ClusterConfig) -> list[tuple[int, np.ndarray]
     return list(enumerate(starts))
 
 
-def _cuts(distinct, ranked):
-    """Cut positions of the nearest-center intervals of the sorted centers
-    ``ranked`` over the sorted distinct values: k + 1 strictly increasing
-    bounds from 0 to m. ``None`` where an interval would be empty, or where
-    rounding of ``|x - c|`` can tie two centers (a value within a few ulps
-    of a midpoint, or centers equal or a few ulps apart), so that only the
-    exact comparison decides.
-
-    1-D nearest-center cells are the intervals between midpoints of the
-    sorted centers, so each cut is one binary search, started at the cut
-    before it: a cut that would fall below it leaves an empty interval.
-    """
-    tol = 4.0 * math.ulp(max(-distinct[0], distinct[-1], -ranked[0], ranked[-1]))
-    m = len(distinct)
-    cuts = [0]
-    for lo, hi in zip(ranked, ranked[1:]):
-        mid = 0.5 * (lo + hi)
-        cut = bisect_left(distinct, mid - tol, cuts[-1])
-        if hi - lo <= 2.0 * tol or cut <= cuts[-1] or (cut < m and distinct[cut] <= mid + tol):
-            return None
-        cuts.append(cut)
-    cuts.append(m)
-    return cuts if cuts[-2] < cuts[-1] else None
-
-
 def _exact_partition(hist: _Histogram, centers: list) -> tuple[list, list]:
-    """The partition ``_cuts`` declines, as the same ``(owners, bounds)``
-    runs in value order (a center may own several runs here).
+    """The partition an ordinary Lloyd iteration declines, as the same
+    ``(owners, bounds)`` runs in value order (a center may own several runs
+    here).
 
     Every distinct value goes to ``argmin(|x - c|)``, ties to the lower
     center index. While a cluster is empty, the lowest-index empty center
@@ -291,11 +269,19 @@ def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict | N
     ``(owners, bounds)``: the center of each run in value order and the run
     bounds, k runs and k + 1 bounds on an ordinary iteration.
 
-    There are two paths. An ordinary iteration is one ``_cuts`` search and
-    one pass over the k intervals, whose prefix-sum differences give both
-    the new centers and the objective, summed in value order. Where
-    ``_cuts`` declines, ``_exact_partition`` decides every value and
-    repairs empty clusters, and the per-run bookkeeping sums the runs.
+    There are two paths. An ordinary iteration is one pass over the centers
+    in value order: 1-D nearest-center cells are the intervals between
+    midpoints, so each cut is one binary search, started at the cut before
+    it, and the prefix sums at the cut give the interval's new center and
+    objective term, summed in value order. The new centers are the interval
+    means, so they keep that order; it is sorted afresh only after the
+    other path. A value within a few ulps of a midpoint, where rounding of
+    ``|x - c|`` decides, goes by that exact comparison, as in
+    ``_exact_partition``. The iteration declines where that comparison
+    ties, where two centers are equal, out of order or a few ulps apart, or
+    where an interval is empty; ``_exact_partition`` then decides every
+    value and repairs empty clusters, and the per-run bookkeeping sums the
+    runs.
 
     ``ends`` maps the bounds of partitions that earlier runs of the fit
     passed through to the iterations they had left to converge, counting
@@ -310,17 +296,44 @@ def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict | N
     """
     ends = {} if ends is None else ends
     k = len(centers)
-    xs, shift = hist.xs, hist.shift
+    xs, shift, m = hist.xs, hist.shift, len(hist.xs)
     cum_n, cum_x, cum_xx = hist.cum_n, hist.cum_x, hist.cum_xx
+    extent = max(-xs[0], xs[-1])
+    search, ulp, inf = bisect_left, math.ulp, math.inf
     prev = None
     trace: list[float] = []
     path = []  # bounds of each iteration's partition
     rare = 0  # the last iteration off the ordinary path
     end = None  # the iteration the run converges at
+    owners = sorted(range(k), key=centers.__getitem__)
+    ranked = [centers[j] for j in owners]
     for iterations in range(1, max_iter + 1):
-        owners = sorted(range(k), key=centers.__getitem__)
-        bounds = _cuts(xs, [centers[j] for j in owners])
-        if bounds is None:
+        tol = 4.0 * ulp(max(extent, -ranked[0], ranked[-1]))
+        bounds, moved, terms, following = [0], [0.0] * k, [], []
+        a, n_a, x_a, xx_a = 0, 0, 0.0, 0.0
+        # The last interval ends at an infinite midpoint, so its cut is m.
+        for j, lo, hi in zip(owners, ranked, [*ranked[1:], inf]):
+            mid = 0.5 * (lo + hi)
+            edge = mid + tol
+            b = search(xs, mid - tol, a)
+            if hi - lo <= 2.0 * tol:
+                break
+            # Values within tol of the midpoint stay with lo while strictly
+            # nearer it. The comparison is monotone in x, so the first other
+            # one ends the interval; if it ties, center index decides: decline.
+            while b < m and xs[b] <= edge and abs(xs[b] - lo) < abs(xs[b] - hi):
+                b += 1
+            if b <= a or (b < m and xs[b] <= edge and abs(xs[b] - lo) == abs(xs[b] - hi)):
+                break
+            n_b, x_b, xx_b = cum_n[b], cum_x[b], cum_xx[b]
+            s1 = x_b - x_a
+            mean = s1 / (n_b - n_a)  # of x - shift
+            moved[j] = center = shift + mean
+            following.append(center)
+            terms.append(xx_b - xx_a - s1 * mean)
+            bounds.append(b)
+            a, n_a, x_a, xx_a = b, n_b, x_b, xx_b
+        if len(bounds) <= k:  # an interval declined
             rare = iterations
             owners, bounds = _exact_partition(hist, centers)
         if (owners, bounds) == prev:
@@ -339,17 +352,13 @@ def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict | N
                 size[j] += cum_n[b] - cum_n[a]
                 s1[j] += cum_x[b] - cum_x[a]
                 s2[j] += cum_xx[b] - cum_xx[a]
-            means = [s / m for s, m in zip(s1, size)]  # of x - shift
+            means = [s / n for s, n in zip(s1, size)]  # of x - shift
             centers = [shift + c for c in means]
             trace.append(sum(s2[j] - s1[j] * means[j] for j in dict.fromkeys(owners)))
+            owners = sorted(range(k), key=centers.__getitem__)
+            ranked = [centers[j] for j in owners]
             continue
-        centers = [0.0] * k
-        terms = []
-        for j, a, b in zip(owners, bounds, bounds[1:]):
-            s1 = cum_x[b] - cum_x[a]
-            mean = s1 / (cum_n[b] - cum_n[a])  # of x - shift
-            centers[j] = shift + mean
-            terms.append(cum_xx[b] - cum_xx[a] - s1 * mean)
+        centers, ranked = moved, following
         # Summed in value order, so restarts that reach one partition under
         # other center indices get the same objective and the first keeps it.
         trace.append(sum(terms))

@@ -10,8 +10,8 @@ import csv
 import io
 import logging
 import multiprocessing
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -305,17 +305,75 @@ def _run_case(i, cases, prepass, totals, atlases, cfg):
         return ErrorRecord(case_id=case.case_id, cohort=case.cohort, message=str(exc))
 
 
-# A worker's cohort state: set once by _init_worker, inherited through fork.
-_cohort = ()
+def _take_cases(counter, state) -> list:
+    """(index, outcome) of each case this process takes: the next index off
+    the shared ``counter``, until every case is taken."""
+    done = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(state[0]):
+            return done
+        done.append((i, _run_case(i, *state)))
 
 
-def _init_worker(*cohort):
-    global _cohort
-    _cohort = cohort
+def _worker(counter, state, send):
+    """A forked process's cases, sent back in one message. An unexpected
+    exception is logged with its traceback and sent instead, after it has
+    stopped every process from taking another case."""
+    try:
+        send.send(_take_cases(counter, state))
+    except Exception as exc:
+        with counter.get_lock():
+            counter.value = len(state[0])
+        log.exception("evaluation worker %d failed", os.getpid())
+        send.send(exc)
 
 
-def _run_worker_case(i):
-    return _run_case(i, *_cohort)
+def _run_forked(processes: int, state) -> list:
+    """The outcome of every case in manifest order, from ``processes - 1``
+    forked workers and this process, each taking the next case off one
+    shared counter.
+
+    Fork hands the cohort's state to each worker without pickling it (safe
+    as long as the caller runs no other thread, as the CLI does not); only
+    the outcomes come back. An exception raised by a case in any process
+    reaches the caller, and so does a worker that dies; either way no worker
+    is left running.
+    """
+    fork = multiprocessing.get_context("fork")
+    counter = fork.Value("i", 0)
+    workers = []
+    try:
+        for _ in range(processes - 1):
+            receive, send = fork.Pipe(duplex=False)
+            worker = fork.Process(target=_worker, args=(counter, state, send))
+            worker.start()
+            send.close()
+            workers.append((worker, receive))
+        done = _take_cases(counter, state)
+        for worker, receive in workers:
+            try:
+                share = receive.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"evaluation worker {worker.pid} exited with code {worker.exitcode} before sending its cases"
+                ) from None
+            if isinstance(share, Exception):
+                raise share
+            done += share
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receive in workers:
+            worker.join()
+            receive.close()
+    outcomes = dict(done)
+    return [outcomes[i] for i in range(len(state[0]))]
 
 
 def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> CohortResult:
@@ -324,8 +382,8 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
     With ``cfg.loo`` the atlases are rebuilt per case from the other cases'
     ground truths (train/test hygiene when the manifest provided the atlas
     data); otherwise ``atlases`` must be supplied. With ``cfg.jobs`` above 1
-    the cases run in up to that many forked worker processes, which inherit
-    the cohort's state and send back one result per case.
+    the cases run in up to that many processes, this one and forked workers
+    (see ``_run_forked``); the results do not depend on ``cfg.jobs``.
     """
     if not cases:
         raise ValidationError("evaluate_cohort needs at least one case")
@@ -342,8 +400,11 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
     # Each ground truth is read once, here, and only planes of it are kept:
     # the cumulative plane scores the case, and under LOO the representative
     # slices build one atlas per slice, from which each case subtracts its
-    # own tumor pixels. A read error is kept and becomes that case's error row.
+    # own tumor pixels. A read error, or a ground truth that marks no tumor,
+    # is kept and becomes that case's error row before its volume is read;
+    # an empty ground truth's slices still count in the atlases.
     prepass: list[tuple[dict[int, Slice], Slice] | Exception] = []
+    atlas_slices = []
     for case in cases:
         try:
             gt = read_mha(case.gt_path, kind=KIND_LABEL)
@@ -351,25 +412,22 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
             prepass.append(exc)
             continue
         gt_slices = representative_gt_slices(gt, rep, case.gt_path) if cfg.loo else {}
-        prepass.append((gt_slices, cumulative_gt(gt)))
-    readable = [p[0] for p in prepass if isinstance(p, tuple)] if cfg.loo else []
-    totals = {n: build_atlas([s[n] for s in readable]) for n in rep} if readable else {}
+        atlas_slices.append(gt_slices)
+        plane = cumulative_gt(gt)
+        try:
+            gt_box(plane)
+        except EmptyGroundTruthError as exc:
+            prepass.append(exc)
+            continue
+        prepass.append((gt_slices, plane))
+    totals = {n: build_atlas([s[n] for s in atlas_slices]) for n in rep} if cfg.loo and atlas_slices else {}
 
     state = (cases, prepass, totals, atlases, cfg)
-    workers = min(cfg.jobs, len(cases))
-    if workers == 1:
+    processes = min(cfg.jobs, len(cases))
+    if processes == 1:
         outcomes = [_run_case(i, *state) for i in range(len(cases))]
     else:
-        # Fork hands the state to each worker without pickling it (safe as
-        # long as the caller runs no other thread, as the CLI does not); a
-        # task is a case index and only its CaseResult or ErrorRecord comes back.
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=state,
-        ) as pool:
-            outcomes = list(pool.map(_run_worker_case, range(len(cases))))
+        outcomes = _run_forked(processes, state)
 
     result = CohortResult(cohort=cohort, method=cfg.method)
     for outcome in outcomes:

@@ -200,9 +200,8 @@ def extract_tumor_map(label_map: LabelMap, params: ExtractParams | None = None) 
         largest = comps[0]
         if params.area_min <= largest.area <= area_max:
             radius = params.radius_margin * sqrt(largest.area / pi)
-            mask = np.zeros(labels.shape, dtype=bool)
+            mask = _disk_mask(labels.shape, largest.centroid, radius)
             mask[largest.pixels[:, 0], largest.pixels[:, 1]] = True
-            mask |= _disk_mask(labels.shape, largest.centroid, radius)
             return TumorMap(mask=mask, slice_index=label_map.slice_index, used_class=cls)
 
     return TumorMap(

@@ -312,10 +312,12 @@ def _assign_reference(distinct, centers):
 
 
 def cuts_reference(distinct, ranked):
-    """``clustering._cuts`` as it was with two binary searches per midpoint:
-    each cut searched over all of ``distinct``, and a value within ``tol``
-    above the midpoint found by ``bisect_right``. The bounds, or ``None``
-    where the exact comparison must decide."""
+    """The cuts of an ordinary Lloyd iteration as they were with two binary
+    searches per midpoint, before ``clustering._lloyd`` decided a value at a
+    midpoint itself: each cut searched over all of ``distinct``, and a value
+    within ``tol`` of the midpoint found by ``bisect_right``. The bounds, or
+    ``None`` where such a value, near-equal centers or an empty interval
+    left the decision to the exact comparison."""
     tol = 4.0 * math.ulp(max(-distinct[0], distinct[-1], -ranked[0], ranked[-1]))
     cuts = [0]
     for lo, hi in zip(ranked, ranked[1:]):

@@ -729,6 +729,30 @@ class TestEval:
             outs.append(out)
         assert (outs[0] / "summary_kmeans.json").read_bytes() == (outs[1] / "summary_kmeans.json").read_bytes()
 
+    def test_jobs_run_cases_in_this_process_too(self, phantom_dir, atlas_dir, tmp_path, monkeypatch, capsys):
+        import os
+
+        import tumorbox.evaluate as ev
+
+        log_path, real = tmp_path / "pids.log", ev.evaluate_case
+
+        def logged(*args, **kwargs):
+            with open(log_path, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "evaluate_case", logged)
+        code = run([
+            "eval", "--manifest", str(phantom_dir / "manifest.csv"), "--atlas-dir", str(atlas_dir),
+            "--out-dir", str(tmp_path / "out"), "--slices", SMALL_SLICES, "--method", "kmeans", "--jobs", "2",
+        ])
+        assert code == 0
+        capsys.readouterr()
+        pids = [int(line) for line in log_path.read_text().split()]
+        assert len(pids) == 3
+        assert os.getpid() in pids
+        assert len(set(pids)) <= 2
+
     def test_jobs_give_the_same_rows_and_summary(self, phantom_dir, tmp_path, capsys):
         # LOO, and a case whose ground truth is missing, so an error row too
         manifest = phantom_dir / "with_ghost.csv"

@@ -1,9 +1,11 @@
 import itertools
 import logging
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,9 +25,9 @@ from oracles import (
 )
 from conftest import PHANTOM_REP_SLICES, make_slice
 
+import tumorbox.clustering as cl
 from tumorbox.clustering import (
     ClusterConfig,
-    _cuts,
     _exact_partition,
     _histogram,
     _lloyd,
@@ -166,6 +168,25 @@ class TestKMeansMatchesPixelLloyd:
             data = enhance_contrast(normalize(extract_slice(vol, n)), phantom_atlases[n]).data
             assert_matches_pixel_lloyd(data[data > 0], ClusterConfig())
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_integer_grid_midpoints_need_no_exact_pass(self, k):
+        # Integers on a [0, 1] scale, as a BraTS slice is after normalize:
+        # data-point starts put midpoints on values, where the rounding of
+        # |x - c| decides. Lloyd decides those values itself; the exact pass
+        # runs only for near-equal centers, an empty cluster or an exact
+        # tie, and the fit is still the per-pixel one.
+        rng = np.random.default_rng(500 + k)
+        reasons, real = [], cl._exact_partition
+
+        def recorded(hist, centers):
+            reasons.append(decline_reason(hist.distinct, centers))
+            return real(hist, centers)
+
+        with mock.patch.object(cl, "_exact_partition", recorded):
+            for trial in range(8):
+                assert_matches_pixel_lloyd(heavy_repeat_values(rng) / 160, ClusterConfig(k=k, seed=trial))
+        assert None not in reasons
+
     def test_fewer_distinct_values_than_k(self):
         assert_matches_pixel_lloyd([4.0, 1.0, 4.0, 1.0, 9.0], ClusterConfig(k=5))
 
@@ -219,6 +240,42 @@ def assert_runs(owners, bounds, size):
     assert all(i != j for i, j in zip(owners, owners[1:]))
 
 
+class Declined(Exception):
+    """Raised in place of ``_exact_partition``: the Lloyd iteration declined."""
+
+
+def ordinary_partition(distinct, centers):
+    """The partition one ordinary Lloyd iteration makes from ``centers``
+    over the sorted distinct values, as ``(owners, bounds)``; ``None`` where
+    the iteration declines to ``_exact_partition``."""
+
+    def declined(hist, centers):
+        raise Declined
+
+    with mock.patch.object(cl, "_exact_partition", declined):
+        try:
+            return _lloyd(_histogram(distinct), list(centers), 1)[1]
+        except Declined:
+            return None
+
+
+def decline_reason(distinct, centers):
+    """Why an ordinary Lloyd iteration may hand ``centers`` to
+    ``_exact_partition``: two sorted centers within the rounding window of
+    each other, a center that is nearest to no value, or a value whose
+    ``|x - c|`` ties exactly between two neighbouring centers. ``None`` when
+    there is no such reason: a value at a midpoint alone is not one."""
+    ranked = sorted(centers)
+    tol = 4.0 * math.ulp(max(-distinct[0], distinct[-1], -ranked[0], ranked[-1]))
+    if any(hi - lo <= 2.0 * tol for lo, hi in zip(ranked, ranked[1:])):
+        return "near-equal centers"
+    if len(set(nearest_center_loop(distinct, centers))) < len(centers):
+        return "empty cluster"
+    if any(abs(x - lo) == abs(x - hi) for lo, hi in zip(ranked, ranked[1:]) for x in distinct):
+        return "exact tie"
+    return None
+
+
 def repaired_reference(hist, centers):
     """The oracle's repair loop: ``_assign_reference`` runs, and while a
     cluster is empty its lowest-index center moves onto
@@ -234,12 +291,18 @@ class TestIntervalAssignment:
     @settings(max_examples=400, deadline=None)
     @given(values_and_centers())
     def test_matches_brute_force_nearest_with_lower_index_ties(self, case):
+        # Every value an ordinary iteration decides, midpoint values
+        # included, goes to its brute-force nearest center; it declines
+        # only for near-equal centers, an empty cluster or an exact tie.
         distinct, centers = case
-        order = sorted(range(centers.size), key=centers.tolist().__getitem__)
-        cuts = _cuts(distinct.tolist(), centers[order].tolist())
-        if cuts is not None:
-            assert_runs(order, cuts, distinct.size)
-            assert np.repeat(order, np.diff(cuts)).tolist() == nearest_center_loop(distinct, centers)
+        runs = ordinary_partition(distinct, centers)
+        if runs is None:
+            assert decline_reason(distinct, centers.tolist()) is not None
+        else:
+            owners, bounds = runs
+            assert owners == sorted(range(centers.size), key=centers.tolist().__getitem__)
+            assert_runs(owners, bounds, distinct.size)
+            assert np.repeat(owners, np.diff(bounds)).tolist() == nearest_center_loop(distinct, centers)
 
     @settings(max_examples=400, deadline=None)
     @given(values_and_centers())
@@ -371,21 +434,19 @@ class TestRejoin:
         assert stopped > 0
 
     def test_rejoined_restarts_run_fewer_iterations(self, phantom_cases, phantom_atlases, monkeypatch):
-        # Each Lloyd iteration makes at least one interval search.
-        import tumorbox.clustering as cl
+        # Each Lloyd iteration starts with one interval search from value 0.
+        searches, real = [], cl.bisect_left
 
-        searches, real = [], cl._cuts
-
-        def counted(*args):
-            searches.append(1)
-            return real(*args)
+        def counted(xs, x, lo=0):
+            searches.append(lo == 0)
+            return real(xs, x, lo)
 
         values = self.slices(phantom_cases, phantom_atlases)[0]
         hist = _histogram(values)
         reference = [lloyd_reference(hist, c.tolist(), 200) for _, c in _starts(hist, ClusterConfig())]
-        monkeypatch.setattr(cl, "_cuts", counted)
+        monkeypatch.setattr(cl, "bisect_left", counted)
         res = kmeans_1d(hist)
-        assert len(searches) < sum(fit[3] for fit in reference)
+        assert 0 < sum(searches) < sum(fit[3] for fit in reference)
         assert res.objective == min(fit[2][-1] for fit in reference)
 
 
@@ -454,11 +515,17 @@ class TestHistogramTables:
     @settings(max_examples=400, deadline=None)
     @given(values_and_centers())
     def test_one_search_cuts_match_two_search_reference(self, case):
+        # Where the two-search cuts decide, an ordinary iteration cuts the
+        # same; where they decline for a midpoint value, it decides that
+        # value by its brute-force nearest center, or declines too.
         distinct, centers = case
-        ranked = sorted(centers.tolist())
-        want = cuts_reference(distinct.tolist(), ranked)
-        assert _cuts(distinct.tolist(), ranked) == want
-        assert _cuts(_histogram(distinct).xs, ranked) == want
+        want = cuts_reference(distinct.tolist(), sorted(centers.tolist()))
+        runs = ordinary_partition(distinct, centers)
+        if want is not None:
+            assert runs is not None and runs[1] == want
+        elif runs is not None:
+            owners, bounds = runs
+            assert np.repeat(owners, np.diff(bounds)).tolist() == nearest_center_loop(distinct, centers)
 
 
 def seeded_mixture(k, seed):

@@ -3,7 +3,7 @@ import multiprocessing
 import os
 import signal
 import time
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.context import ForkProcess
 
 import numpy as np
 import pytest
@@ -362,9 +362,10 @@ class TestEvaluateCohort:
             results.append(
                 evaluate_cohort(cases, None, RunConfig(method="kmeans", extract=params, loo=True, jobs=jobs))
             )
-            # the volume of a case whose ground truth could not be read is not read
+            # the volume of a case whose ground truth could not be read, or
+            # marks no tumor, is not read
             assert sorted(reads()) == sorted(
-                [(c.intensity_path.name, "intensity") for c in cases if c.case_id != "ghost_flair"]
+                [(c.intensity_path.name, "intensity") for c in cases if c.case_id not in ("empty_flair", "ghost_flair")]
                 + [(c.gt_path.name, "label") for c in cases]
             )
         one, two = results
@@ -493,30 +494,53 @@ class TestWorkerProcesses:
         )]
 
     def test_workers_capped_at_case_count_and_joined(self, tmp_path, monkeypatch, phantom_cases, phantom_atlases):
-        started = []
+        # three cases at jobs=8: this process and two forked workers
+        started, real_start = [], ForkProcess.start
 
-        class Recording(ev.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
+        def recording_start(worker):
+            started.append(worker)
+            real_start(worker)
 
-            def shutdown(self, *args, **kwargs):
-                started.append(len(self._processes))
-                super().shutdown(*args, **kwargs)
-
-        monkeypatch.setattr(ev, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(ForkProcess, "start", recording_start)
         man = write_phantom_manifest(tmp_path, phantom_cases[:3])
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
         result = evaluate_cohort(read_manifest(man), phantom_atlases, RunConfig(method="kmeans", extract=params, jobs=8))
         assert result.n == 3
-        assert started == [3, 3]
+        assert [len(started), sum(w.exitcode == 0 for w in started)] == [2, 2]
+        assert multiprocessing.active_children() == []
+
+    def test_every_case_runs_once_with_more_processes_than_cores(self, tmp_path, monkeypatch, phantom_cases, phantom_atlases):
+        # The shared counter hands out each case index once: a lost update
+        # would run a case twice or skip one.
+        log_path, real = tmp_path / "cases.log", ev.evaluate_case
+
+        def logged(volume, gt, atlases, cfg, case_id="", cohort="Phantom"):
+            with open(log_path, "a") as fh:
+                fh.write(f"{case_id}\n")
+            return real(volume, gt, atlases, cfg, case_id=case_id, cohort=cohort)
+
+        def hung(signum, frame):
+            raise TimeoutError("evaluate_cohort hung")
+
+        monkeypatch.setattr(ev, "evaluate_case", logged)
+        man = write_phantom_manifest(tmp_path, (phantom_cases * 2)[:8])
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(120)
+        try:
+            result = evaluate_cohort(read_manifest(man), phantom_atlases, RunConfig(method="kmeans", extract=params, jobs=8))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [c.case_id for c in result.cases] == [f"p{i}_flair" for i in range(8)]
+        assert sorted(log_path.read_text().split()) == [f"p{i}_flair" for i in range(8)]
         assert multiprocessing.active_children() == []
 
     def test_single_case_runs_without_a_pool(self, tmp_path, monkeypatch, phantom_cases, phantom_atlases):
         def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started for one case")
+            raise AssertionError("a worker was started for one case")
 
-        monkeypatch.setattr(ev, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(ForkProcess, "start", no_pool)
         man = write_phantom_manifest(tmp_path, phantom_cases[:1])
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
         result = evaluate_cohort(read_manifest(man), phantom_atlases, RunConfig(method="kmeans", extract=params, jobs=2))
@@ -533,12 +557,34 @@ class TestWorkerProcesses:
             evaluate_cohort(read_manifest(man), phantom_atlases, RunConfig(method="kmeans", extract=params, jobs=2))
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("where", ["this process", "worker"])
+    def test_an_exception_in_one_process_reaches_the_caller(self, tmp_path, monkeypatch, phantom_cases, phantom_atlases, where):
+        # The other process keeps running cases until it sees the failure;
+        # the caller gets the exception with no child left.
+        parent, real = os.getpid(), ev.run_pipeline
+
+        def broken_in_one(*args, **kwargs):
+            if (os.getpid() == parent) == (where == "this process"):
+                raise RuntimeError(f"pipeline bug in {where}")
+            time.sleep(0.2)  # so that the worker surely takes a case
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "run_pipeline", broken_in_one)
+        man = write_phantom_manifest(tmp_path, phantom_cases[:6])
+        params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
+        with pytest.raises(RuntimeError, match=f"pipeline bug in {where}"):
+            evaluate_cohort(read_manifest(man), phantom_atlases, RunConfig(method="kmeans", extract=params, jobs=2))
+        assert multiprocessing.active_children() == []
+
     def test_dead_worker_breaks_the_pool_without_hanging(self, tmp_path, monkeypatch, phantom_cases, phantom_atlases):
-        real = ev.evaluate_case
+        # Only a forked worker dies, on its first case: this process runs
+        # cases too, and must not exit the test run.
+        parent, real = os.getpid(), ev.evaluate_case
 
         def dying(volume, gt, atlases, cfg, case_id="", cohort="Phantom"):
-            if case_id == "p1_flair":
+            if os.getpid() != parent:
                 os._exit(1)
+            time.sleep(0.2)  # so that the worker surely takes a case
             return real(volume, gt, atlases, cfg, case_id=case_id, cohort=cohort)
 
         def hung(signum, frame):
@@ -551,7 +597,7 @@ class TestWorkerProcesses:
         signal.alarm(60)
         try:
             start = time.monotonic()
-            with pytest.raises(BrokenProcessPool):
+            with pytest.raises(RuntimeError, match="exited with code 1 before sending its cases"):
                 evaluate_cohort(read_manifest(man), phantom_atlases, RunConfig(method="kmeans", extract=params, jobs=2))
             elapsed = time.monotonic() - start
         finally:
