@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_open
-from .config import DEFAULT_SEED, METHODS, RunConfig, build_run_config, load_config_file
+from .atomic import atomic_open, read_json_object, write_json
+from .config import DEFAULT_SEED, METHODS, RunConfig, build_run_config
 from .errors import (
     ConfigurationError,
     EmptyGroundTruthError,
@@ -49,15 +49,6 @@ DEFAULT_RADIUS_RANGE = (12.0, 20.0)
 BRAIN_RADII_FRACTIONS = (0.39, 0.44, 0.44)
 
 
-def _write_text(path, text: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(text)
-
-
-def _write_json(path, payload) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _parse_slices(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -66,7 +57,7 @@ def _parse_slices(text: str) -> tuple[int, ...]:
 
 
 def _resolve_config(args) -> RunConfig:
-    file_cfg = load_config_file(args.config) if getattr(args, "config", None) else None
+    file_cfg = read_json_object(args.config, "config file") if getattr(args, "config", None) else None
     flags = {
         "method": getattr(args, "method", None),
         "seed": getattr(args, "seed", None),
@@ -146,7 +137,7 @@ def _write_debug(debug_dir, report) -> None:
     for s in report.slices:
         fit = {"empty": True} if s.fit is None else s.fit
         payload = {"slice_index": s.slice_index, **fit}
-        _write_json(debug_dir / f"debug_slice_{s.slice_index:03d}.json", payload)
+        write_json(debug_dir / f"debug_slice_{s.slice_index:03d}.json", payload)
 
 
 def cmd_extract(args) -> int:
@@ -169,7 +160,7 @@ def cmd_extract(args) -> int:
     log_unconverged(report, args.volume, cfg.cluster.max_iter)
 
     if args.report:
-        _write_json(args.report, report.to_dict())
+        write_json(args.report, report.to_dict())
     if args.debug_dir:
         _write_debug(args.debug_dir, report)
     if failure is not None:
@@ -227,7 +218,7 @@ def cmd_eval(args) -> int:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
     summary = [r.summary_dict() for r in results]
-    _write_json(out_dir / f"summary_{cfg.method}.json", {"cohorts": summary})
+    write_json(out_dir / f"summary_{cfg.method}.json", {"cohorts": summary})
     print(json.dumps({"cohorts": summary}, sort_keys=True))
     return 0
 
@@ -240,7 +231,9 @@ def _phantom_specs(args, seed: int) -> list[PhantomSpec]:
     if radius_lo > radius_hi:
         raise ConfigurationError("--radius-min must not exceed --radius-max")
     if args.spec:
-        # fixed geometry from the spec file; only the noise seed varies
+        # fixed geometry from the spec file; the spec's seed numbers the cases
+        if args.seed is not None:
+            raise ConfigurationError("--seed cannot be given with --spec, whose seed numbers the cases")
         base = load_phantom_spec(args.spec)
         return [dataclasses.replace(base, seed=base.seed + i) for i in range(args.count)]
     dims = tuple(args.dims)
@@ -278,16 +271,17 @@ def cmd_phantom(args) -> int:
     specs = _phantom_specs(args, cfg.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_lines = ["intensity_path,gt_path,cohort"]
+    rows = [("intensity_path", "gt_path", "cohort")]
     for i, spec in enumerate(specs):
         intensity, ground_truth = generate_phantom(spec)
         stem = f"phantom_{i:03d}"
         write_mha(intensity, out_dir / f"{stem}_flair.mha")
         write_mha(ground_truth, out_dir / f"{stem}_gt.mha")
         save_spec(spec, out_dir / f"{stem}_spec.json")
-        manifest_lines.append(f"{stem}_flair.mha,{stem}_gt.mha,Phantom")
+        rows.append((f"{stem}_flair.mha", f"{stem}_gt.mha", "Phantom"))
 
-    _write_text(out_dir / "manifest.csv", "\n".join(manifest_lines) + "\n")
+    with atomic_open(out_dir / "manifest.csv") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     print(json.dumps({"cases": args.count, "out_dir": str(out_dir)}, sort_keys=True))
     return 0
 

@@ -4,34 +4,37 @@ Every tunable knob lives in one of three dataclasses
 (ClusterConfig, ExtractParams, EnhanceParams) composed into RunConfig.
 Values resolve with precedence: explicit CLI flag > JSON config file >
 dataclass default, and are checked once, when the RunConfig is built.
+Phantom spec files are checked by the same type rules (``build_checked``).
 """
 
 import dataclasses
-import json
 import multiprocessing
 import sys
 import typing
 from dataclasses import dataclass, field, replace
 
 from .clustering import DEFAULT_SEED, METHOD_EM, METHOD_KMEANS, ClusterConfig
-from .errors import ConfigurationError, FormatError, ValidationError
+from .errors import ConfigurationError, ValidationError
 from .pipeline import ExtractParams
 from .preprocess import EnhanceParams
 
 METHODS = (METHOD_EM, METHOD_KMEANS)
 
 
-def _check_type(key: str, value, ftype):
+def _check_type(key: str, value, ftype, kind: str = "config"):
     """Return ``value`` if it fits the field annotation ``ftype``, else raise.
 
     Booleans are not accepted as numbers, ints are accepted (and converted)
     where a float is expected, NaN and infinities are not, and a list is
-    accepted for a tuple.
+    accepted for a tuple: one of any length for ``tuple[int, ...]``, one of
+    three items for ``tuple[float, float, float]``.
     """
     if typing.get_origin(ftype) is tuple:
-        if isinstance(value, (list, tuple)):
-            return tuple(_check_type(key, v, typing.get_args(ftype)[0]) for v in value)
-        expected = f"a list of {typing.get_args(ftype)[0].__name__}"
+        args = typing.get_args(ftype)
+        fixed = args[-1] is not Ellipsis
+        if isinstance(value, (list, tuple)) and (not fixed or len(value) == len(args)):
+            return tuple(_check_type(key, v, args[0], kind) for v in value)
+        expected = f"a list of {args[0].__name__}" + (f" with {len(args)} items" if fixed else "")
     elif ftype is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             if abs(value) <= sys.float_info.max:  # not NaN, an infinity or a huge int
@@ -43,7 +46,29 @@ def _check_type(key: str, value, ftype):
         if isinstance(value, ftype) and not (ftype is int and isinstance(value, bool)):
             return value
         expected = ftype.__name__
-    raise ConfigurationError(f"config key {key!r} must be {expected}, got {value!r}")
+    raise ConfigurationError(f"{kind} key {key!r} must be {expected}, got {value!r}")
+
+
+def build_checked(cls, values: dict, kind: str = "config", section: str = ""):
+    """``cls(**values)``, each value checked against its field's annotation.
+
+    An unknown key, a value of the wrong type and a ValidationError from
+    ``cls`` each raise ConfigurationError, naming ``kind`` and ``section``.
+    """
+    types_by_name = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(values) - set(types_by_name)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {section + ' ' if section else ''}{kind} key(s): {', '.join(sorted(unknown))}"
+        )
+    checked = {
+        key: _check_type(f"{section}.{key}" if section else key, value, types_by_name[key], kind)
+        for key, value in values.items()
+    }
+    try:
+        return cls(**checked)
+    except ValidationError as exc:
+        raise ConfigurationError(f"{kind} section {section!r}: {exc}" if section else f"{kind}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -89,13 +114,6 @@ _TOP_LEVEL = {f.name for f in dataclasses.fields(RunConfig)} - set(_NESTED)
 
 
 def _build_section(section: str, values: dict):
-    cls = _NESTED[section]
-    types_by_name = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(values) - set(types_by_name)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {section} config key(s): {', '.join(sorted(unknown))}"
-        )
     shadowed = sorted(set(values) & _TOP_LEVEL)
     if shadowed:
         raise ConfigurationError(
@@ -106,28 +124,7 @@ def _build_section(section: str, values: dict):
         raise ConfigurationError(
             "config key 'cluster.k' is not allowed; it is always 5, since the tumor map reads classes 5 and 4"
         )
-    checked = {
-        key: _check_type(f"{section}.{key}", value, types_by_name[key])
-        for key, value in values.items()
-    }
-    try:
-        return cls(**checked)
-    except ValidationError as exc:
-        raise ConfigurationError(f"config section {section!r}: {exc}") from exc
-
-
-def load_config_file(path) -> dict:
-    """The JSON object in ``path``, read as UTF-8 with or without a BOM."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"malformed config file {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"config file {path} is not UTF-8 text: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"config file {path} must hold a JSON object")
-    return payload
+    return build_checked(_NESTED[section], values, section=section)
 
 
 def build_run_config(file_cfg: dict | None = None, flags: dict | None = None) -> RunConfig:

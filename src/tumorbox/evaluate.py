@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import read_text
 from .config import RunConfig
 from .errors import (
     ConfigurationError,
@@ -245,12 +246,7 @@ def read_manifest(path) -> list[ManifestCase]:
     path = Path(path)
     base = path.parent
     cases = []
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"manifest {path} is not UTF-8 text: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.DictReader(io.StringIO(read_text(path, "manifest"), newline=""))
     required = {"intensity_path", "gt_path", "cohort"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise FormatError(

@@ -6,13 +6,13 @@ Gaussian noise inside the brain. The paired label volume marks the blob, so
 every pipeline stage can be tested without the restricted dataset.
 """
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import read_json_object, write_json
+from .config import build_checked
 from .errors import FormatError, ValidationError
 from .volume import KIND_LABEL, Volume
 
@@ -79,41 +79,21 @@ class PhantomSpec:
 
 
 def spec_from_dict(d: dict) -> PhantomSpec:
-    try:
-        return PhantomSpec(
-            dims=tuple(int(v) for v in d["dims"]),
-            brain_center=tuple(float(v) for v in d["brain_center"]),
-            brain_radii=tuple(float(v) for v in d["brain_radii"]),
-            tumor_center=tuple(float(v) for v in d["tumor_center"]),
-            tumor_radius=float(d["tumor_radius"]),
-            tumor_offset=float(d["tumor_offset"]),
-            tissue_intensity=float(d["tissue_intensity"]),
-            noise_sigma=float(d["noise_sigma"]),
-            seed=int(d["seed"]),
-        )
-    except KeyError as exc:
-        raise FormatError(f"phantom spec missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"phantom spec field has wrong type: {exc}") from exc
+    """The spec ``d`` describes, checked by the config layer's type rules."""
+    missing = [f.name for f in fields(PhantomSpec) if f.name not in d]
+    if missing:
+        raise FormatError(f"phantom spec missing field {missing[0]!r}")
+    return build_checked(PhantomSpec, d, kind="phantom spec")
 
 
 def save_spec(spec: PhantomSpec, path) -> None:
     """Write ``spec`` as JSON; the write is atomic."""
-    with atomic_open(path) as fh:
-        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, spec.to_dict())
 
 
 def load_spec(path) -> PhantomSpec:
     """The spec in the JSON file ``path``, read as UTF-8 with or without a BOM."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"malformed phantom spec {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"phantom spec {path} is not UTF-8 text: {exc}") from exc
-    return spec_from_dict(payload)
+    return spec_from_dict(read_json_object(path, "phantom spec"))
 
 
 def generate_phantom(spec: PhantomSpec) -> tuple[Volume, Volume]:

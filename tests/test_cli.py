@@ -148,7 +148,7 @@ class TestPhantomCommand:
         with caplog.at_level("ERROR"):
             code = run(["phantom", "--out-dir", str(out), "--spec", str(spec_path)])
         assert code == 2
-        assert any("tumor_radius must be finite" in rec.getMessage() for rec in caplog.records)
+        assert "phantom spec key 'tumor_radius' must be a finite number, got nan" in caplog.text
         assert not list(out.rglob("*"))
 
     def test_negative_seed_in_spec_file_is_usage_error(self, tmp_path, caplog):
@@ -164,6 +164,46 @@ class TestPhantomCommand:
         assert code == 2
         assert "seed must be >= 0, got -1" in caplog.text
         assert not out.exists()
+
+    @staticmethod
+    def _run_spec(tmp_path, payload, *extra):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        return run(["phantom", "--out-dir", str(tmp_path / "x"), "--spec", str(spec_path), *extra])
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("brain_center", [64.0, 64.0], "'brain_center' must be a list of float with 3 items, got [64.0, 64.0]"),
+        ("dims", [128, 128, 64, 1], "'dims' must be a list of int with 3 items"),
+        ("dims", [128.5, 128, 64], "'dims' must be int, got 128.5"),
+        ("seed", True, "'seed' must be int, got True"),
+        ("tumor_radius", "14", "'tumor_radius' must be a number, got '14'"),
+        ("tumor_offset", None, "'tumor_offset' must be a number, got None"),
+    ], ids=["short-center", "long-dims", "float-dims", "bool-seed", "string-radius", "null-offset"])
+    def test_mistyped_spec_field_is_usage_error(self, tmp_path, caplog, key, value, message):
+        from tumorbox.phantom import PhantomSpec
+
+        payload = {**PhantomSpec().to_dict(), key: value}
+        with caplog.at_level("ERROR"):
+            assert self._run_spec(tmp_path, payload) == 2
+        assert f"phantom spec key {message}" in caplog.text
+        assert not (tmp_path / "x").exists()
+
+    def test_unknown_spec_key_is_usage_error(self, tmp_path, caplog):
+        from tumorbox.phantom import PhantomSpec
+
+        payload = {**PhantomSpec().to_dict(), "tumour_radius": 14.0}
+        with caplog.at_level("ERROR"):
+            assert self._run_spec(tmp_path, payload) == 2
+        assert "unknown phantom spec key(s): tumour_radius" in caplog.text
+        assert not (tmp_path / "x").exists()
+
+    def test_seed_with_spec_is_usage_error(self, tmp_path, caplog):
+        from tumorbox.phantom import PhantomSpec
+
+        with caplog.at_level("ERROR"):
+            assert self._run_spec(tmp_path, PhantomSpec().to_dict(), "--seed", "11") == 2
+        assert "--seed cannot be given with --spec" in caplog.text
+        assert not (tmp_path / "x").exists()
 
     def test_bad_placement_of_a_later_case_writes_nothing(self, tmp_path, caplog):
         argv = ["phantom", "--seed", "2", "--dims", "24", "24", "12", "--radius-min", "2", "--radius-max", "5.5"]
@@ -1041,35 +1081,60 @@ class TestConfigValidation:
 
 
 class TestTextEncoding:
+    @staticmethod
+    def _argv(kind, bad, out):
+        return {
+            "config": ["eval", "--manifest", str(out.parent / "absent.csv"), "--out-dir", str(out), "--loo",
+                       "--config", str(bad)],
+            "manifest": ["select-slices", "--manifest", str(bad)],
+            "spec": ["phantom", "--out-dir", str(out), "--spec", str(bad)],
+        }[kind]
+
     @pytest.mark.parametrize("kind", ["config", "manifest", "spec"])
     def test_undecodable_file_is_format_error(self, tmp_path, caplog, kind):
         bad = tmp_path / f"bad_{kind}"
         bad.write_bytes(b"\xff" + b'{"seed": 1}\n')
         out = tmp_path / "out"
-        argv = {
-            "config": ["eval", "--manifest", str(tmp_path / "absent.csv"), "--out-dir", str(out), "--loo",
-                       "--config", str(bad)],
-            "manifest": ["select-slices", "--manifest", str(bad)],
-            "spec": ["phantom", "--out-dir", str(out), "--spec", str(bad)],
-        }[kind]
         with caplog.at_level("ERROR"):
-            code = run(argv)
+            code = run(self._argv(kind, bad, out))
         assert code == 4
         assert f"{bad} is not UTF-8 text" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, what", [("config", "config file"), ("spec", "phantom spec")])
+    @pytest.mark.parametrize("text, message", [
+        ('{"seed": 1', "malformed {what} {bad}: "),
+        ('[{"seed": 1}]', "{what} {bad} must hold a JSON object"),
+    ], ids=["malformed", "array"])
+    def test_json_that_is_not_an_object_is_format_error(self, tmp_path, caplog, kind, what, text, message):
+        bad = tmp_path / f"bad_{kind}.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR"):
+            code = run(self._argv(kind, bad, out))
+        assert code == 4
+        assert message.format(what=what, bad=bad) in caplog.text
+        assert not out.exists()
+
     def test_byte_order_mark_skipped_in_config_and_spec(self, tmp_path, phantom_dir):
-        # Both files as a Windows editor saves them; the config sets the
-        # noise seed, so the volumes match a run given --seed instead.
+        # Each file as a Windows editor saves it gives the same cases as
+        # the file without the mark, or as the flag the config stands for.
         bom = b"\xef\xbb\xbf"
+        plain = phantom_dir / "phantom_000_spec.json"
         spec = tmp_path / "spec.json"
-        spec.write_bytes(bom + (phantom_dir / "phantom_000_spec.json").read_bytes())
+        spec.write_bytes(bom + plain.read_bytes())
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["phantom", "--out-dir", str(a), "--count", "2", "--spec", str(spec)]) == 0
+        assert run(["phantom", "--out-dir", str(b), "--count", "2", "--spec", str(plain)]) == 0
+        assert file_hashes(sorted(a.iterdir())) == file_hashes(sorted(b.iterdir()))
+
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(bom + b'{"seed": 11}')
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run(["phantom", "--out-dir", str(a), "--count", "1", "--spec", str(spec), "--config", str(cfg)]) == 0
-        assert run(["phantom", "--out-dir", str(b), "--count", "1", "--spec", str(spec), "--seed", "11"]) == 0
-        assert file_hashes(sorted(a.iterdir())) == file_hashes(sorted(b.iterdir()))
+        c, d = tmp_path / "c", tmp_path / "d"
+        assert run(["phantom", "--out-dir", str(c), "--count", "1", *SMALL, "--config", str(cfg)]) == 0
+        assert run(["phantom", "--out-dir", str(d), "--count", "1", *SMALL, "--seed", "11"]) == 0
+        assert file_hashes(sorted(c.iterdir())) == file_hashes(sorted(d.iterdir()))
+        assert json.loads((c / "phantom_000_spec.json").read_text())["seed"] == 11
 
 
 class TestConfigSurface:

@@ -1,6 +1,7 @@
 """numpy is the package's only runtime dependency: every module imports
 only itself (relatively), the standard library and numpy, and
-pyproject.toml declares numpy alone."""
+pyproject.toml declares numpy alone. Text and JSON files are read and
+written by atomic.py alone."""
 
 import ast
 import re
@@ -40,3 +41,28 @@ def test_pyproject_declares_numpy_as_the_only_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def text_file_calls(path):
+    """(line, call) of every text-mode builtin ``open``, ``Path.read_text``
+    or ``write_text``, and ``json.load``, ``loads`` or ``dump`` in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+            if not any(isinstance(m, ast.Constant) and "b" in m.value for m in modes):
+                yield node.lineno, "open"
+        elif isinstance(func, ast.Attribute):
+            if func.attr in ("read_text", "write_text"):
+                yield node.lineno, func.attr
+            elif isinstance(func.value, ast.Name) and func.value.id == "json" and func.attr in ("load", "loads", "dump"):
+                yield node.lineno, f"json.{func.attr}"
+
+
+def test_only_atomic_reads_and_writes_text_and_json_files():
+    # mha.py's "rb" opens and cli's json.dumps to stdout are not text files.
+    calls = {path.name: list(text_file_calls(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    assert [call for _, call in calls.pop("atomic.py")] == ["open", "json.loads"]  # the walk sees them
+    assert {name: found for name, found in calls.items() if found} == {}
