@@ -44,6 +44,17 @@ log = logging.getLogger(__name__)
 
 DEFAULT_RADIUS_RANGE = (12.0, 20.0)
 
+# The `phantom` flags that shape each case, with their defaults. A `--spec`
+# file fixes all of them, so none may be given with it.
+PHANTOM_SHAPE_DEFAULTS = {
+    "--dims": (128, 128, 64),
+    "--tissue": 0.5,
+    "--offset": 0.4,
+    "--noise-sigma": 0.03,
+    "--radius-min": DEFAULT_RADIUS_RANGE[0],
+    "--radius-max": DEFAULT_RADIUS_RANGE[1],
+}
+
 # Brain ellipsoid radii as fractions of the volume dims, matching the rough
 # proportions of a skull-stripped BraTS head.
 BRAIN_RADII_FRACTIONS = (0.39, 0.44, 0.44)
@@ -227,16 +238,21 @@ def _phantom_specs(args, seed: int) -> list[PhantomSpec]:
     """Every case's spec, each checked as it is built."""
     if args.count < 1:
         raise ConfigurationError(f"--count must be >= 1, got {args.count}")
-    radius_lo, radius_hi = args.radius_min, args.radius_max
-    if radius_lo > radius_hi:
-        raise ConfigurationError("--radius-min must not exceed --radius-max")
+    shape = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in PHANTOM_SHAPE_DEFAULTS}
     if args.spec:
         # fixed geometry from the spec file; the spec's seed numbers the cases
         if args.seed is not None:
             raise ConfigurationError("--seed cannot be given with --spec, whose seed numbers the cases")
+        for flag, value in shape.items():
+            if value is not None:
+                raise ConfigurationError(f"{flag} cannot be given with --spec, which fixes every case's phantom")
         base = load_phantom_spec(args.spec)
         return [dataclasses.replace(base, seed=base.seed + i) for i in range(args.count)]
-    dims = tuple(args.dims)
+    shape = {flag: PHANTOM_SHAPE_DEFAULTS[flag] if value is None else value for flag, value in shape.items()}
+    radius_lo, radius_hi = shape["--radius-min"], shape["--radius-max"]
+    if radius_lo > radius_hi:
+        raise ConfigurationError("--radius-min must not exceed --radius-max")
+    dims = tuple(shape["--dims"])
     width, height, depth = dims
     brain_center = (width / 2, height / 2, depth / 2)
     brain_radii = (
@@ -257,9 +273,9 @@ def _phantom_specs(args, seed: int) -> list[PhantomSpec]:
                 brain_center[2] + placement.uniform(-0.03, 0.05) * depth,
             ),
             tumor_radius=float(placement.uniform(radius_lo, radius_hi)),
-            tumor_offset=args.offset,
-            tissue_intensity=args.tissue,
-            noise_sigma=args.noise_sigma,
+            tumor_offset=shape["--offset"],
+            tissue_intensity=shape["--tissue"],
+            noise_sigma=shape["--noise-sigma"],
             seed=seed + i,
         ))
     return specs
@@ -370,12 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="phantom spec JSON fixing the geometry; cases then differ only by noise seed",
     )
-    p_phantom.add_argument("--dims", type=int, nargs=3, default=[128, 128, 64], metavar=("W", "H", "D"))
-    p_phantom.add_argument("--tissue", type=float, default=0.5)
-    p_phantom.add_argument("--offset", type=float, default=0.4)
-    p_phantom.add_argument("--noise-sigma", type=float, default=0.03)
-    p_phantom.add_argument("--radius-min", type=float, default=DEFAULT_RADIUS_RANGE[0])
-    p_phantom.add_argument("--radius-max", type=float, default=DEFAULT_RADIUS_RANGE[1])
+    for flag, default in PHANTOM_SHAPE_DEFAULTS.items():
+        # No argparse default: a flag given with --spec must be told from one left out.
+        typed = dict(type=int, nargs=3, metavar=("W", "H", "D")) if flag == "--dims" else dict(type=float)
+        p_phantom.add_argument(flag, **typed, help=f"default {default}; not with --spec")
     _add_common(p_phantom, "--seed", "--config")
     p_phantom.set_defaults(func=cmd_phantom)
 

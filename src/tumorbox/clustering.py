@@ -12,13 +12,13 @@ Lloyd step is k - 1 binary-search cuts and its partition is one state,
 k + 1 cut positions. Each cluster's size, mean and sum of squares are
 prefix-sum differences, O(k log m) per iteration for m distinct values.
 A value a few ulps from a midpoint is decided by the exact ``|x - c|``
-comparison. From a partition, an ordinary step depends on its bounds
-alone, so a restart that reaches bounds an earlier restart of the fit
-passed through, and from which that restart converged on the ordinary path
-alone, stops there: it would end with the same objective and lose the tie.
-Where that comparison ties exactly, two centers (nearly) coincide or an
-interval is empty, one exact numpy pass decides every value and repairs
-empty clusters. EM fits a
+comparison, and an exact tie there by the lower center index. From a
+partition, an ordinary step depends on its bounds alone, so a restart that
+reaches bounds an earlier restart of the fit passed through, and from which
+that restart converged on the ordinary path alone, stops there: it would
+end with the same objective and lose the tie. Where two centers (nearly)
+coincide or an interval is empty, one exact numpy pass decides every value
+and repairs empty clusters. EM fits a
 Gaussian mixture to the distinct values weighted by their counts (exact
 grouped-data EM): posteriors are (k, m), and each step is one small matrix
 product on the design [1, x, x^2].
@@ -92,7 +92,8 @@ class LabelMap:
     Classes are ranked by mean intensity of their pixels, ascending, so for
     k=5 the brightest class carries label 5. ``fit`` summarises the fit that
     produced the labels (scalars and short lists, ``None`` when no pixel
-    was clustered).
+    was clustered). ``brain_pixels``, the count of labels > 0, is counted
+    from ``labels`` when not given.
     """
 
     labels: np.ndarray
@@ -100,6 +101,11 @@ class LabelMap:
     slice_index: int = 0
     degenerate: bool = False
     fit: dict | None = None
+    brain_pixels: int | None = None
+
+    def __post_init__(self):
+        if self.brain_pixels is None:
+            object.__setattr__(self, "brain_pixels", int(np.count_nonzero(self.labels)))
 
 
 class _Histogram(NamedTuple):
@@ -277,22 +283,23 @@ def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict | N
     means, so they keep that order; it is sorted afresh only after the
     other path. A value within a few ulps of a midpoint, where rounding of
     ``|x - c|`` decides, goes by that exact comparison, as in
-    ``_exact_partition``. The iteration declines where that comparison
-    ties, where two centers are equal, out of order or a few ulps apart, or
-    where an interval is empty; ``_exact_partition`` then decides every
-    value and repairs empty clusters, and the per-run bookkeeping sums the
-    runs.
+    ``_exact_partition``. Where it ties, the tied values go to the lower
+    center index; such an iteration depends on the indices, so it ends as
+    the other path does. The iteration declines where two centers are
+    equal, out of order or a few ulps apart, or where an interval is empty;
+    ``_exact_partition`` then decides every value and repairs empty
+    clusters. On the other path the per-run bookkeeping sums the runs.
 
     ``ends`` maps the bounds of partitions that earlier runs of the fit
     passed through to the iterations they had left to converge, counting
-    only partitions that an ordinary iteration made and after which every
-    iteration was ordinary. From such a partition the next one depends on
-    the bounds alone, not on which center index owns which interval, so a
-    run that reaches one repeats the earlier path to the same objective and
-    would lose the strict ``<`` to the earlier run: it returns ``None``
-    there, if it would converge within ``max_iter``. A run that converges or
-    rejoins adds its own partitions to ``ends``; without ``ends`` the run
-    starts a table of its own.
+    only partitions that an ordinary iteration without a tie made and after
+    which every iteration was such. From such a partition the next one
+    depends on the bounds alone, not on which center index owns which
+    interval, so a run that reaches one repeats the earlier path to the
+    same objective and would lose the strict ``<`` to the earlier run: it
+    returns ``None`` there, if it would converge within ``max_iter``. A run
+    that converges or rejoins adds its own partitions to ``ends``; without
+    ``ends`` the run starts a table of its own.
     """
     ends = {} if ends is None else ends
     k = len(centers)
@@ -306,24 +313,37 @@ def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict | N
     rare = 0  # the last iteration off the ordinary path
     end = None  # the iteration the run converges at
     owners = sorted(range(k), key=centers.__getitem__)
+    nexts = [*owners[1:], k]  # the center of the next interval, k past the last
     ranked = [centers[j] for j in owners]
     for iterations in range(1, max_iter + 1):
         tol = 4.0 * ulp(max(extent, -ranked[0], ranked[-1]))
         bounds, moved, terms, following = [0], [0.0] * k, [], []
         a, n_a, x_a, xx_a = 0, 0, 0.0, 0.0
         # The last interval ends at an infinite midpoint, so its cut is m.
-        for j, lo, hi in zip(owners, ranked, [*ranked[1:], inf]):
-            mid = 0.5 * (lo + hi)
-            edge = mid + tol
-            b = search(xs, mid - tol, a)
+        for j, nxt, lo, hi in zip(owners, nexts, ranked, [*ranked[1:], inf]):
             if hi - lo <= 2.0 * tol:
                 break
-            # Values within tol of the midpoint stay with lo while strictly
-            # nearer it. The comparison is monotone in x, so the first other
-            # one ends the interval; if it ties, center index decides: decline.
-            while b < m and xs[b] <= edge and abs(xs[b] - lo) < abs(xs[b] - hi):
-                b += 1
-            if b <= a or (b < m and xs[b] <= edge and abs(xs[b] - lo) == abs(xs[b] - hi)):
+            mid = 0.5 * (lo + hi)
+            b = search(xs, mid - tol, a)
+            if b < m and xs[b] <= mid + tol:
+                # Values within tol of the midpoint go by the exact
+                # comparison, which is monotone in x: first those strictly
+                # nearer lo, then those tied, then those nearer hi. The tied
+                # ones go to the lower center index, so this iteration
+                # depends on the indices and is off the ordinary path.
+                edge, x = mid + tol, xs[b]
+                while abs(x - lo) < abs(x - hi):
+                    b += 1
+                    if b == m or (x := xs[b]) > edge:
+                        break
+                else:
+                    if abs(x - lo) == abs(x - hi):
+                        rare = iterations
+                        while j < nxt and abs(x - lo) == abs(x - hi):
+                            b += 1
+                            if b == m or (x := xs[b]) > edge:
+                                break
+            if b <= a:
                 break
             n_b, x_b, xx_b = cum_n[b], cum_x[b], cum_xx[b]
             s1 = x_b - x_a
@@ -356,6 +376,7 @@ def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict | N
             centers = [shift + c for c in means]
             trace.append(sum(s2[j] - s1[j] * means[j] for j in dict.fromkeys(owners)))
             owners = sorted(range(k), key=centers.__getitem__)
+            nexts = [*owners[1:], k]
             ranked = [centers[j] for j in owners]
             continue
         centers, ranked = moved, following
@@ -581,12 +602,15 @@ def _ranked_by_interval(hist: _Histogram, firsts: np.ndarray, k: int, dtype) -> 
     return bool(np.all(xs[firsts[1:]] - xs[firsts[1:] - 1] > bound))
 
 
-def _run_index(data: np.ndarray, run_starts: list) -> np.ndarray:
+def _run_index(data: np.ndarray, brain: np.ndarray, run_starts: list) -> np.ndarray:
     """For each pixel, how many of the ascending ``run_starts`` it reaches:
-    i + 1 for a pixel in run i, 0 for one below every start."""
-    index = np.zeros(data.shape, dtype=np.min_scalar_type(len(run_starts)))
-    for start in run_starts:
-        index += data >= start
+    i + 1 for a pixel in run i, 0 for one outside ``brain``. The first run
+    starts at the smallest brain value, so the brain mask is the pixels
+    that reach it."""
+    index = brain.astype(np.min_scalar_type(len(run_starts)))
+    reached = np.empty(data.shape, dtype=bool)
+    for start in run_starts[1:]:
+        index += np.greater_equal(data, start, out=reached).view(np.uint8)
     return index
 
 
@@ -618,7 +642,8 @@ def segment_slice(
     mask = data > 0
     values = data[mask]
     if values.size == 0:
-        return LabelMap(labels=np.zeros(data.shape, dtype=np.int32), k=cfg.k, slice_index=slc.index, degenerate=True)
+        labels = np.zeros(data.shape, dtype=np.int32)
+        return LabelMap(labels=labels, k=cfg.k, slice_index=slc.index, degenerate=True, brain_pixels=0)
     hist = _histogram(values)
 
     if method == METHOD_KMEANS:
@@ -650,7 +675,7 @@ def segment_slice(
 
     classes = result.classes
     firsts = np.flatnonzero(np.diff(classes, prepend=-1))  # value index where each run starts
-    run = _run_index(data, hist.distinct[firsts].tolist())
+    run = _run_index(data, mask, hist.distinct[firsts].tolist())
     if method == METHOD_KMEANS and _ranked_by_interval(hist, firsts, cfg.k, values.dtype):
         labels = run.astype(np.int32)
     else:
@@ -659,4 +684,6 @@ def segment_slice(
         table = np.zeros(firsts.size + 1, dtype=np.int32)
         table[1:] = rank[owners]
         labels = table[run]
-    return LabelMap(labels=labels, k=cfg.k, slice_index=slc.index, degenerate=degenerate, fit=fit)
+    return LabelMap(
+        labels=labels, k=cfg.k, slice_index=slc.index, degenerate=degenerate, fit=fit, brain_pixels=values.size
+    )

@@ -10,6 +10,7 @@ that builds each `Component` only when it is read.
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,18 +90,29 @@ def _run_roots(rows, starts, stops, reach: int, width: int) -> np.ndarray:
 
 
 class Components(Sequence):
-    """Components largest first, held as their runs; ``[i]`` builds the i-th."""
+    """Components largest first, held as their runs; ``[i]`` builds the i-th.
 
-    def __init__(self, rows, starts, lengths, roots, order):
+    The largest is found by one pass over the areas; the full area order is
+    sorted only when a later component is read."""
+
+    def __init__(self, rows, starts, lengths, roots, firsts, areas):
         self._rows, self._starts, self._lengths = rows, starts, lengths
         self._roots = roots  # each run's root run
-        self._order = order  # root runs by component area descending
+        self._firsts, self._areas = firsts, areas  # root runs in scan order, their areas
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """Root runs by component area descending; roots are first runs, so
+        a stable sort keeps the anchors' scan order among equal areas."""
+        return self._firsts[np.argsort(-self._areas, kind="stable")]
 
     def __len__(self) -> int:
-        return self._order.size
+        return self._firsts.size
 
     def __getitem__(self, i: int) -> Component:
-        runs = np.flatnonzero(self._roots == self._order[i])  # in scan order
+        # argmax gives the first of equal areas, as the stable sort does.
+        root = self._firsts[np.argmax(self._areas)] if i == 0 else self._order[i]
+        runs = np.flatnonzero(self._roots == root)  # in scan order
         rows, starts, lengths = self._rows[runs], self._starts[runs], self._lengths[runs]
         pixels = np.stack([np.repeat(rows, lengths), _ranges(starts, lengths)], axis=1)
         # Coordinate sums are integers, so the centroid is the exact
@@ -129,8 +141,6 @@ def connected_components(mask, connectivity: int = 8) -> Sequence[Component]:
         return []
     roots = _run_roots(rows, starts, stops, 1 if connectivity == 8 else 0, mask.shape[1])
     lengths = stops - starts
-    # Roots are first runs, so ascending roots follow the anchors' scan order
-    # and a stable sort by area keeps it among equal areas.
     firsts = np.flatnonzero(roots == np.arange(rows.size))
     areas = np.bincount(roots, weights=lengths)[firsts]
-    return Components(rows, starts, lengths, roots, firsts[np.argsort(-areas, kind="stable")])
+    return Components(rows, starts, lengths, roots, firsts, areas)

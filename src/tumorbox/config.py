@@ -8,7 +8,6 @@ Phantom spec files are checked by the same type rules (``build_checked``).
 """
 
 import dataclasses
-import multiprocessing
 import sys
 import typing
 from dataclasses import dataclass, field, replace
@@ -98,11 +97,16 @@ class RunConfig:
             )
         if self.jobs < 1:
             raise ConfigurationError(f"config key 'jobs' must be >= 1, got {self.jobs}")
-        if self.jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
-            raise ConfigurationError(
-                f"config key 'jobs' must be 1 on this platform, which cannot fork "
-                f"worker processes; got {self.jobs}"
-            )
+        if self.jobs > 1:
+            # Imported here: only forked workers need it, and every CLI
+            # start-up would pay for it.
+            import multiprocessing
+
+            if "fork" not in multiprocessing.get_all_start_methods():
+                raise ConfigurationError(
+                    f"config key 'jobs' must be 1 on this platform, which cannot fork "
+                    f"worker processes; got {self.jobs}"
+                )
         if self.seed < 0:
             raise ConfigurationError(f"config key 'seed' must be >= 0, got {self.seed}")
         object.__setattr__(self, "cluster", replace(self.cluster, seed=self.seed, k=5))

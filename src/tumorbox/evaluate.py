@@ -9,7 +9,6 @@ pipeline are scored against it with the Dice measure, aggregated per cohort
 import csv
 import io
 import logging
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -338,6 +337,8 @@ def _run_forked(processes: int, state) -> list:
     reaches the caller, and so does a worker that dies; either way no worker
     is left running.
     """
+    import multiprocessing  # only here, so that no other command pays for its import
+
     fork = multiprocessing.get_context("fork")
     counter = fork.Value("i", 0)
     workers = []

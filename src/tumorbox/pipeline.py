@@ -191,7 +191,7 @@ def extract_tumor_map(label_map: LabelMap, params: ExtractParams | None = None) 
             f"tumor map extraction expects 5 classes, label map has k={label_map.k}"
         )
     labels = label_map.labels
-    area_max = params.area_max_fraction * np.count_nonzero(labels)
+    area_max = params.area_max_fraction * label_map.brain_pixels
 
     for cls in (5, 4):
         comps = connected_components(labels == cls, connectivity=8)

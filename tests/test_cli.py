@@ -205,6 +205,22 @@ class TestPhantomCommand:
         assert "--seed cannot be given with --spec" in caplog.text
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("flag, values", [
+        ("--dims", ["16", "16", "8"]),
+        ("--tissue", ["9"]),
+        ("--offset", ["0.4"]),  # the default value counts as given, too
+        ("--noise-sigma", ["0.5"]),
+        ("--radius-min", ["2"]),
+        ("--radius-max", ["30"]),
+    ])
+    def test_shape_flag_with_spec_is_usage_error(self, tmp_path, caplog, flag, values):
+        from tumorbox.phantom import PhantomSpec
+
+        with caplog.at_level("ERROR"):
+            assert self._run_spec(tmp_path, PhantomSpec().to_dict(), flag, *values) == 2
+        assert f"{flag} cannot be given with --spec" in caplog.text
+        assert not (tmp_path / "x").exists()
+
     def test_bad_placement_of_a_later_case_writes_nothing(self, tmp_path, caplog):
         argv = ["phantom", "--seed", "2", "--dims", "24", "24", "12", "--radius-min", "2", "--radius-max", "5.5"]
         assert run([*argv, "--out-dir", str(tmp_path / "one"), "--count", "1"]) == 0  # case 0 fits

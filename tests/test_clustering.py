@@ -172,9 +172,9 @@ class TestKMeansMatchesPixelLloyd:
     def test_integer_grid_midpoints_need_no_exact_pass(self, k):
         # Integers on a [0, 1] scale, as a BraTS slice is after normalize:
         # data-point starts put midpoints on values, where the rounding of
-        # |x - c| decides. Lloyd decides those values itself; the exact pass
-        # runs only for near-equal centers, an empty cluster or an exact
-        # tie, and the fit is still the per-pixel one.
+        # |x - c| decides, or ties. Lloyd decides those values itself; the
+        # exact pass runs only for near-equal centers or an empty cluster,
+        # and the fit is still the per-pixel one.
         rng = np.random.default_rng(500 + k)
         reasons, real = [], cl._exact_partition
 
@@ -262,18 +262,23 @@ def ordinary_partition(distinct, centers):
 def decline_reason(distinct, centers):
     """Why an ordinary Lloyd iteration may hand ``centers`` to
     ``_exact_partition``: two sorted centers within the rounding window of
-    each other, a center that is nearest to no value, or a value whose
-    ``|x - c|`` ties exactly between two neighbouring centers. ``None`` when
-    there is no such reason: a value at a midpoint alone is not one."""
+    each other, or a center that is nearest to no value. ``None`` when there
+    is no such reason: a value at a midpoint is not one, even where its
+    ``|x - c|`` ties exactly (see ``exact_tie``)."""
     ranked = sorted(centers)
     tol = 4.0 * math.ulp(max(-distinct[0], distinct[-1], -ranked[0], ranked[-1]))
     if any(hi - lo <= 2.0 * tol for lo, hi in zip(ranked, ranked[1:])):
         return "near-equal centers"
     if len(set(nearest_center_loop(distinct, centers))) < len(centers):
         return "empty cluster"
-    if any(abs(x - lo) == abs(x - hi) for lo, hi in zip(ranked, ranked[1:]) for x in distinct):
-        return "exact tie"
     return None
+
+
+def exact_tie(distinct, centers):
+    """Whether a value's ``|x - c|`` ties exactly between two neighbouring
+    sorted centers, so that the center index decides it."""
+    ranked = sorted(centers)
+    return any(abs(x - lo) == abs(x - hi) for lo, hi in zip(ranked, ranked[1:]) for x in distinct)
 
 
 def repaired_reference(hist, centers):
@@ -291,9 +296,10 @@ class TestIntervalAssignment:
     @settings(max_examples=400, deadline=None)
     @given(values_and_centers())
     def test_matches_brute_force_nearest_with_lower_index_ties(self, case):
-        # Every value an ordinary iteration decides, midpoint values
-        # included, goes to its brute-force nearest center; it declines
-        # only for near-equal centers, an empty cluster or an exact tie.
+        # Every value an ordinary iteration decides, midpoint values and
+        # exact ties included, goes to its brute-force nearest center, a tie
+        # to the lower index; it declines only for near-equal centers or an
+        # empty cluster.
         distinct, centers = case
         runs = ordinary_partition(distinct, centers)
         if runs is None:
@@ -303,6 +309,37 @@ class TestIntervalAssignment:
             assert owners == sorted(range(centers.size), key=centers.tolist().__getitem__)
             assert_runs(owners, bounds, distinct.size)
             assert np.repeat(owners, np.diff(bounds)).tolist() == nearest_center_loop(distinct, centers)
+
+    @pytest.mark.parametrize("start, owners, bounds", [
+        ([1.0, 3.0], [0, 1], [0, 3, 5]),  # 2 ties and goes to center 0, below it
+        ([3.0, 1.0], [1, 0], [0, 2, 5]),  # 2 ties and goes to center 0, above it
+    ])
+    def test_exact_tie_goes_to_the_lower_center_index(self, start, owners, bounds):
+        distinct = np.arange(5.0)
+        assert exact_tie(distinct, start) and decline_reason(distinct, start) is None
+        assert ordinary_partition(distinct, start) == (owners, bounds)
+
+    def test_exact_pass_runs_only_for_near_equal_centers_or_empty_clusters(self):
+        # Data-point starts on an integer grid often put a value exactly at
+        # a midpoint. The first iteration from such a start decides the tie
+        # itself: the exact pass runs only for the starts with a reason.
+        rng = np.random.default_rng(700)
+        calls, reasons, ties, real = [], [], 0, cl._exact_partition
+
+        def counted(hist, centers):
+            calls.append(decline_reason(hist.distinct, centers))
+            return real(hist, centers)
+
+        with mock.patch.object(cl, "_exact_partition", counted):
+            for trial in range(8):
+                hist = _histogram(heavy_repeat_values(rng) / 160)
+                for _, start in _starts(hist, ClusterConfig(seed=trial, n_restarts=9)):
+                    reasons.append(decline_reason(hist.distinct, start.tolist()))
+                    ties += reasons[-1] is None and exact_tie(hist.distinct, start.tolist())
+                    _lloyd(hist, start.tolist(), 1)
+        assert ties > 0
+        assert len(calls) == sum(reason is not None for reason in reasons) > 0
+        assert set(calls) <= {"near-equal centers", "empty cluster"}
 
     @settings(max_examples=400, deadline=None)
     @given(values_and_centers())
@@ -432,6 +469,20 @@ class TestRejoin:
                 assert (res.n_iter, res.best_restart) == (n_iter, best_restart)
                 assert np.array_equal(res.assignment, assign)
         assert stopped > 0
+
+    @pytest.mark.parametrize("start, untied", [([1.0, 3.0], [1.0, 3.5]), ([3.0, 1.0], [3.0, 0.5])])
+    def test_a_tie_decided_partition_stays_out_of_the_table(self, start, untied):
+        # The first iteration decides the tie at 2 by center index, so its
+        # partition depends on the indices; the second only confirms it.
+        hist = _histogram(np.arange(5.0))
+        ends = {}
+        _, runs, _, iters = _lloyd(hist, list(start), 10, ends)
+        assert (runs, iters) == (ordinary_partition(hist.distinct, start), 2)
+        assert ends == {}
+        # A start that makes the same partition without a tie enters it.
+        assert not exact_tie(hist.distinct, untied)
+        assert _lloyd(hist, list(untied), 10, ends)[1] == runs
+        assert list(ends) == [tuple(runs[1])]
 
     def test_rejoined_restarts_run_fewer_iterations(self, phantom_cases, phantom_atlases, monkeypatch):
         # Each Lloyd iteration starts with one interval search from value 0.

@@ -4,7 +4,9 @@ pyproject.toml declares numpy alone. Text and JSON files are read and
 written by atomic.py alone."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +68,13 @@ def test_only_atomic_reads_and_writes_text_and_json_files():
     calls = {path.name: list(text_file_calls(path)) for path in sorted(PACKAGE.glob("*.py"))}
     assert [call for _, call in calls.pop("atomic.py")] == ["open", "json.loads"]  # the walk sees them
     assert {name: found for name, found in calls.items() if found} == {}
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # Only eval with more than one job forks workers, so no other command
+    # pays for importing multiprocessing at start-up.
+    code = "import sys, tumorbox.cli; print('multiprocessing' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
