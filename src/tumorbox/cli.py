@@ -42,17 +42,15 @@ from .volume import KIND_LABEL
 
 log = logging.getLogger(__name__)
 
-DEFAULT_RADIUS_RANGE = (12.0, 20.0)
-
 # The `phantom` flags that shape each case, with their defaults. A `--spec`
 # file fixes all of them, so none may be given with it.
 PHANTOM_SHAPE_DEFAULTS = {
-    "--dims": (128, 128, 64),
-    "--tissue": 0.5,
-    "--offset": 0.4,
-    "--noise-sigma": 0.03,
-    "--radius-min": DEFAULT_RADIUS_RANGE[0],
-    "--radius-max": DEFAULT_RADIUS_RANGE[1],
+    "--dims": PhantomSpec.dims,
+    "--tissue": PhantomSpec.tissue_intensity,
+    "--offset": PhantomSpec.tumor_offset,
+    "--noise-sigma": PhantomSpec.noise_sigma,
+    "--radius-min": 12.0,
+    "--radius-max": 20.0,
 }
 
 # Brain ellipsoid radii as fractions of the volume dims, matching the rough
@@ -92,11 +90,6 @@ def _load_atlases(atlas_dir: Path, rep_slices) -> dict:
     for n in rep_slices:
         path = atlas_dir / _atlas_filename(n)
         if not path.exists():
-            if path.with_suffix(".json").exists():
-                raise ConfigurationError(
-                    f"{path.with_suffix('.json')} is a JSON atlas, which is no longer "
-                    f"read; run `tumorbox atlas build` again to write {path.name}"
-                )
             raise ConfigurationError(
                 f"missing atlas for representative slice {n}: {path}"
             )

@@ -92,20 +92,15 @@ class LabelMap:
     Classes are ranked by mean intensity of their pixels, ascending, so for
     k=5 the brightest class carries label 5. ``fit`` summarises the fit that
     produced the labels (scalars and short lists, ``None`` when no pixel
-    was clustered). ``brain_pixels``, the count of labels > 0, is counted
-    from ``labels`` when not given.
+    was clustered). ``brain_pixels`` is the count of labels > 0.
     """
 
     labels: np.ndarray
     k: int
+    brain_pixels: int
     slice_index: int = 0
     degenerate: bool = False
     fit: dict | None = None
-    brain_pixels: int | None = None
-
-    def __post_init__(self):
-        if self.brain_pixels is None:
-            object.__setattr__(self, "brain_pixels", int(np.count_nonzero(self.labels)))
 
 
 class _Histogram(NamedTuple):
@@ -269,7 +264,7 @@ def _exact_partition(hist: _Histogram, centers: list) -> tuple[list, list]:
     return labels[starts].tolist(), [*starts.tolist(), distinct.size]
 
 
-def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict | None = None):
+def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict):
     """One Lloyd run over the histogram from the given centers. Returns
     (centroids, final partition, objective trace, iters), the partition as
     ``(owners, bounds)``: the center of each run in value order and the run
@@ -298,10 +293,8 @@ def _lloyd(hist: _Histogram, centers: list[float], max_iter: int, ends: dict | N
     interval, so a run that reaches one repeats the earlier path to the
     same objective and would lose the strict ``<`` to the earlier run: it
     returns ``None`` there, if it would converge within ``max_iter``. A run
-    that converges or rejoins adds its own partitions to ``ends``; without
-    ``ends`` the run starts a table of its own.
+    that converges or rejoins adds its own partitions to ``ends``.
     """
-    ends = {} if ends is None else ends
     k = len(centers)
     xs, shift, m = hist.xs, hist.shift, len(hist.xs)
     cum_n, cum_x, cum_xx = hist.cum_n, hist.cum_x, hist.cum_xx

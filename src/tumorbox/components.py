@@ -32,11 +32,6 @@ class Component:
     def area(self) -> int:
         return self.pixels.shape[0]
 
-    @property
-    def anchor(self) -> tuple[int, int]:
-        """Topmost-leftmost pixel, used as a deterministic tie-breaker."""
-        return (int(self.pixels[0, 0]), int(self.pixels[0, 1]))
-
 
 def _row_runs(mask: np.ndarray):
     """Horizontal runs of set pixels in row-major order: (row, start, stop)."""
@@ -103,7 +98,7 @@ class Components(Sequence):
     @cached_property
     def _order(self) -> np.ndarray:
         """Root runs by component area descending; roots are first runs, so
-        a stable sort keeps the anchors' scan order among equal areas."""
+        a stable sort keeps scan order among equal areas."""
         return self._firsts[np.argsort(-self._areas, kind="stable")]
 
     def __len__(self) -> int:

@@ -165,9 +165,9 @@ class CohortResult:
         }
 
 
-def log_unconverged(report: PipelineReport | None, case: str, max_iter: int) -> None:
+def log_unconverged(report: PipelineReport, case: str, max_iter: int) -> None:
     """One WARNING per case naming the slices whose EM fit hit max_iter."""
-    slices = report.unconverged_slices() if report else []
+    slices = report.unconverged_slices()
     if slices:
         log.warning(
             "case %s: EM stopped at max_iter=%d without converging on slice(s) %s",
@@ -177,22 +177,20 @@ def log_unconverged(report: PipelineReport | None, case: str, max_iter: int) -> 
 
 def evaluate_case(
     volume: Volume,
-    gt: Volume | Slice,
+    plane: Slice,
     atlases,
     cfg: RunConfig,
     case_id: str = "",
     cohort: str = "Phantom",
 ) -> CaseResult:
-    """Score one (volume, ground truth) pair.
+    """Score one volume against its :func:`cumulative_gt` plane.
 
-    ``gt`` is the label volume or its :func:`cumulative_gt` plane, which is
-    all the score reads of it; a plane whose shape is not the volume's slice
-    shape raises ValidationError before the pipeline runs. A pipeline that
-    detects nothing scores 0 with the failure flag set; excluding such cases
-    would inflate cohort means invisibly.
+    A plane whose shape is not the volume's slice shape raises
+    ValidationError before the pipeline runs. A pipeline that detects
+    nothing scores 0 with the failure flag set; excluding such cases would
+    inflate cohort means invisibly.
     """
     start = time.perf_counter()
-    plane = gt if isinstance(gt, Slice) else cumulative_gt(gt)
     if plane.data.shape != (volume.height, volume.width):
         raise ValidationError(
             f"ground truth plane has shape {plane.data.shape}, "
@@ -239,8 +237,10 @@ def read_manifest(path) -> list[ManifestCase]:
 
     Relative paths resolve against the manifest's own directory, so a
     generated phantom directory is self-contained. A leading UTF-8 byte-order
-    mark is skipped. A row with fewer fields than the header is rejected, and
-    so are two rows with the same case ID, since results are keyed by it.
+    mark is skipped. A case's ID is its intensity file name without a
+    trailing ``.mha`` or ``.mhd``. A row with fewer fields than the header is
+    rejected, and so are two rows with the same case ID, since results are
+    keyed by it.
     """
     path = Path(path)
     base = path.parent
@@ -259,7 +259,7 @@ def read_manifest(path) -> list[ManifestCase]:
             )
         intensity = Path(row["intensity_path"])
         gt = Path(row["gt_path"])
-        case_id = intensity.name.replace(".mha", "").replace(".mhd", "")
+        case_id = intensity.stem if intensity.suffix in (".mha", ".mhd") else intensity.name
         if any(c.case_id == case_id for c in cases):
             raise FormatError(f"manifest {path} lists case {case_id!r} twice")
         cases.append(
@@ -281,7 +281,7 @@ def _run_case(i, cases, prepass, totals, atlases, cfg):
         if isinstance(prepass[i], Exception):
             raise prepass[i]
         volume = read_mha(case.intensity_path)
-        gt_slices, gt = prepass[i]
+        gt_slices, plane = prepass[i]
         case_atlases = atlases
         if cfg.loo:
             case_atlases = {
@@ -293,7 +293,7 @@ def _run_case(i, cases, prepass, totals, atlases, cfg):
                 for n, atlas in totals.items()
             }
         return evaluate_case(
-            volume, gt, case_atlases, cfg, case_id=case.case_id, cohort=case.cohort
+            volume, plane, case_atlases, cfg, case_id=case.case_id, cohort=case.cohort
         )
     except (TumorBoxError, OSError) as exc:
         log.error("case %s skipped: %s", case.case_id, exc)

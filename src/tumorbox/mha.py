@@ -134,11 +134,11 @@ def read_mha(path, kind: str = KIND_INTENSITY) -> Volume:
             if key in header:
                 msb = _parse_bool(key, header[key])
 
-        spacing = (1.0, 1.0, 1.0)
+        # Checked, not kept: no stage reads the voxel spacing.
         if "ElementSpacing" in header:
             text = header["ElementSpacing"]
             try:
-                spacing = tuple(float(tok) for tok in text.split())
+                spacing = [float(tok) for tok in text.split()]
             except ValueError as exc:
                 raise FormatError(f"unparseable header key ElementSpacing: {text!r}") from exc
             if len(spacing) != 3 or not all(math.isfinite(s) and s > 0 for s in spacing):
@@ -170,8 +170,6 @@ def read_mha(path, kind: str = KIND_INTENSITY) -> Volume:
         data=grid.astype(grid.dtype.newbyteorder("="), copy=False),
         kind=kind,
         element_type=element_type,
-        byte_order_msb=msb,
-        spacing=spacing,
     )
 
 
@@ -206,7 +204,8 @@ def _element_type_for(volume: Volume) -> str:
 
 
 def write_mha(volume: Volume, path) -> None:
-    """Write ``volume`` as an uncompressed MetaImage with inline payload.
+    """Write ``volume`` as an uncompressed MetaImage with inline payload,
+    little-endian with unit spacing.
 
     The write is atomic (temp file + rename). Reading the result back with
     :func:`read_mha` reproduces dims and data; intensity values must be
@@ -217,18 +216,15 @@ def write_mha(volume: Volume, path) -> None:
     element_type = _element_type_for(volume)
     if element_type not in ELEMENT_DTYPES:
         raise UnsupportedFeatureError(f"cannot write ElementType {element_type}")
-    dtype = np.dtype(ELEMENT_DTYPES[element_type]).newbyteorder(
-        ">" if volume.byte_order_msb else "<"
-    )
+    dtype = np.dtype(ELEMENT_DTYPES[element_type]).newbyteorder("<")
     width, height, depth = volume.dims
-    spacing = " ".join(f"{s:g}" for s in volume.spacing)
     header = (
         "ObjectType = Image\n"
         "NDims = 3\n"
         "BinaryData = True\n"
-        f"BinaryDataByteOrderMSB = {volume.byte_order_msb}\n"
+        "BinaryDataByteOrderMSB = False\n"
         "CompressedData = False\n"
-        f"ElementSpacing = {spacing}\n"
+        "ElementSpacing = 1 1 1\n"
         f"DimSize = {width} {height} {depth}\n"
         f"ElementType = {element_type}\n"
         "ElementDataFile = LOCAL\n"

@@ -69,14 +69,6 @@ class PhantomSpec:
                 f"(scaled center distance {scaled:.3f}, radius {self.tumor_radius})"
             )
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["dims"] = list(self.dims)
-        d["brain_center"] = list(self.brain_center)
-        d["brain_radii"] = list(self.brain_radii)
-        d["tumor_center"] = list(self.tumor_center)
-        return d
-
 
 def spec_from_dict(d: dict) -> PhantomSpec:
     """The spec ``d`` describes, checked by the config layer's type rules."""
@@ -88,7 +80,7 @@ def spec_from_dict(d: dict) -> PhantomSpec:
 
 def save_spec(spec: PhantomSpec, path) -> None:
     """Write ``spec`` as JSON; the write is atomic."""
-    write_json(path, spec.to_dict())
+    write_json(path, asdict(spec))
 
 
 def load_spec(path) -> PhantomSpec:

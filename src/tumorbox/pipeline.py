@@ -9,7 +9,7 @@ rectangle is the output.
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import ceil, floor, pi, sqrt
 from typing import Iterable, Mapping
 
@@ -81,14 +81,6 @@ class TumorMap:
     used_class: int | None = None
 
     @property
-    def width(self) -> int:
-        return self.mask.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.mask.shape[0]
-
-    @property
     def is_empty(self) -> bool:
         return not bool(self.mask.any())
 
@@ -118,13 +110,7 @@ class BBox:
         return (self.row_max - self.row_min + 1) * (self.col_max - self.col_min + 1)
 
     def to_dict(self) -> dict:
-        return {
-            "row_min": self.row_min,
-            "col_min": self.col_min,
-            "row_max": self.row_max,
-            "col_max": self.col_max,
-            "margin_applied": self.margin_applied,
-        }
+        return asdict(self)
 
     def to_csv_row(self) -> str:
         return (
@@ -232,7 +218,7 @@ def _check_same_dims(maps: Iterable[TumorMap]) -> tuple[int, int]:
 
 def quadrant_marks(tumor_map: TumorMap) -> tuple[bool, bool, bool, bool]:
     """Which quadrants hold at least one of this map's detections."""
-    quadrants = _quadrant_slices(tumor_map.height, tumor_map.width)
+    quadrants = _quadrant_slices(*tumor_map.mask.shape)
     return tuple(int(np.count_nonzero(tumor_map.mask[rows, cols])) > 0 for rows, cols in quadrants)
 
 

@@ -63,14 +63,6 @@ class Atlas:
         if np.any(self.counts < 0) or np.any(self.counts > self.num_patients):
             raise ValidationError("atlas counts must lie in 0..num_patients")
 
-    @property
-    def width(self) -> int:
-        return self.counts.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.counts.shape[0]
-
 
 def normalize(slc: Slice) -> Slice:
     """Min-max normalise a slice to [0, 1].
@@ -135,10 +127,8 @@ def enhance_contrast(slc: Slice, atlas: Atlas, params: EnhanceParams | None = No
     to [0, 1].
     """
     params = params or EnhanceParams()
-    if (atlas.height, atlas.width) != slc.data.shape:
-        raise ValidationError(
-            f"atlas dims {(atlas.height, atlas.width)} do not match slice {slc.data.shape}"
-        )
+    if atlas.counts.shape != slc.data.shape:
+        raise ValidationError(f"atlas dims {atlas.counts.shape} do not match slice {slc.data.shape}")
     if atlas.slice_index != slc.index:
         raise ValidationError(
             f"atlas slice index {atlas.slice_index} does not match slice {slc.index}"

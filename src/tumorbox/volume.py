@@ -55,15 +55,11 @@ class Volume:
         kind: "intensity" or "label".
         element_type: preferred MetaImage element type when written back to
             disk (kept from the source file so round trips are lossless).
-        byte_order_msb: big-endian payload on disk.
-        spacing: voxel spacing from the source header; parsed, stored, unused.
     """
 
     data: np.ndarray
     kind: str = KIND_INTENSITY
     element_type: str | None = None
-    byte_order_msb: bool = False
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if self.kind not in (KIND_INTENSITY, KIND_LABEL):

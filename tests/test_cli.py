@@ -139,7 +139,7 @@ class TestPhantomCommand:
     def test_nan_in_spec_file_is_usage_error(self, tmp_path, caplog):
         from tumorbox.phantom import PhantomSpec
 
-        payload = PhantomSpec().to_dict()
+        payload = dataclasses.asdict(PhantomSpec())
         payload["tumor_radius"] = float("nan")
         spec_path = tmp_path / "nan_spec.json"
         spec_path.write_text(json.dumps(payload))  # written as the bare token NaN
@@ -154,7 +154,7 @@ class TestPhantomCommand:
     def test_negative_seed_in_spec_file_is_usage_error(self, tmp_path, caplog):
         from tumorbox.phantom import PhantomSpec
 
-        payload = PhantomSpec().to_dict()
+        payload = dataclasses.asdict(PhantomSpec())
         payload["seed"] = -1
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(payload))
@@ -182,7 +182,7 @@ class TestPhantomCommand:
     def test_mistyped_spec_field_is_usage_error(self, tmp_path, caplog, key, value, message):
         from tumorbox.phantom import PhantomSpec
 
-        payload = {**PhantomSpec().to_dict(), key: value}
+        payload = {**dataclasses.asdict(PhantomSpec()), key: value}
         with caplog.at_level("ERROR"):
             assert self._run_spec(tmp_path, payload) == 2
         assert f"phantom spec key {message}" in caplog.text
@@ -191,7 +191,7 @@ class TestPhantomCommand:
     def test_unknown_spec_key_is_usage_error(self, tmp_path, caplog):
         from tumorbox.phantom import PhantomSpec
 
-        payload = {**PhantomSpec().to_dict(), "tumour_radius": 14.0}
+        payload = {**dataclasses.asdict(PhantomSpec()), "tumour_radius": 14.0}
         with caplog.at_level("ERROR"):
             assert self._run_spec(tmp_path, payload) == 2
         assert "unknown phantom spec key(s): tumour_radius" in caplog.text
@@ -201,7 +201,7 @@ class TestPhantomCommand:
         from tumorbox.phantom import PhantomSpec
 
         with caplog.at_level("ERROR"):
-            assert self._run_spec(tmp_path, PhantomSpec().to_dict(), "--seed", "11") == 2
+            assert self._run_spec(tmp_path, dataclasses.asdict(PhantomSpec()), "--seed", "11") == 2
         assert "--seed cannot be given with --spec" in caplog.text
         assert not (tmp_path / "x").exists()
 
@@ -217,7 +217,7 @@ class TestPhantomCommand:
         from tumorbox.phantom import PhantomSpec
 
         with caplog.at_level("ERROR"):
-            assert self._run_spec(tmp_path, PhantomSpec().to_dict(), flag, *values) == 2
+            assert self._run_spec(tmp_path, dataclasses.asdict(PhantomSpec()), flag, *values) == 2
         assert f"{flag} cannot be given with --spec" in caplog.text
         assert not (tmp_path / "x").exists()
 
@@ -447,31 +447,6 @@ class TestExtract:
             ])
         assert code == 2
         assert f"missing atlas for representative slice 12: {atlas_dir / _atlas_filename(12)}" in caplog.text
-
-    def test_json_atlas_dir_asks_for_rebuild(self, phantom_dir, atlas_dir, caplog, capsys):
-        from tumorbox.preprocess import load_atlas
-
-        # the atlas directory as earlier versions wrote it
-        for n in SLICE_INDICES:
-            path = atlas_dir / _atlas_filename(n)
-            atlas = load_atlas(path)
-            payload = {
-                "counts": atlas.counts.reshape(-1).tolist(), "height": atlas.height,
-                "num_patients": atlas.num_patients, "slice_index": n, "width": atlas.width,
-            }
-            path.with_suffix(".json").write_text(json.dumps(payload, sort_keys=True) + "\n")
-            path.unlink()
-        with caplog.at_level("ERROR"):
-            code = run([
-                "extract",
-                "--volume", str(phantom_dir / "phantom_000_flair.mha"),
-                "--atlas-dir", str(atlas_dir),
-                "--slices", SMALL_SLICES,
-            ])
-        assert code == 2
-        assert capsys.readouterr().out == ""
-        assert f"{atlas_dir / 'atlas_slice_010.json'} is a JSON atlas, which is no longer read" in caplog.text
-        assert "run `tumorbox atlas build` again to write atlas_slice_010.npz" in caplog.text
 
     def test_debug_dump(self, phantom_dir, atlas_dir, tmp_path, capsys):
         debug = tmp_path / "debug"

@@ -120,7 +120,7 @@ class TestKMeans:
         rng = np.random.default_rng(0)
         hist = _histogram(np.concatenate([rng.normal(0.5, 0.03, 8000), rng.normal(0.9, 0.03, 600)]))
         [(_, start)] = _starts(hist, ClusterConfig(n_restarts=1))
-        finals = {_lloyd(hist, list(p), 200)[2][-1] for p in itertools.permutations(start.tolist())}
+        finals = {_lloyd(hist, list(p), 200, {})[2][-1] for p in itertools.permutations(start.tolist())}
         assert len(finals) == 1
 
 
@@ -254,7 +254,7 @@ def ordinary_partition(distinct, centers):
 
     with mock.patch.object(cl, "_exact_partition", declined):
         try:
-            return _lloyd(_histogram(distinct), list(centers), 1)[1]
+            return _lloyd(_histogram(distinct), list(centers), 1, {})[1]
         except Declined:
             return None
 
@@ -336,7 +336,7 @@ class TestIntervalAssignment:
                 for _, start in _starts(hist, ClusterConfig(seed=trial, n_restarts=9)):
                     reasons.append(decline_reason(hist.distinct, start.tolist()))
                     ties += reasons[-1] is None and exact_tie(hist.distinct, start.tolist())
-                    _lloyd(hist, start.tolist(), 1)
+                    _lloyd(hist, start.tolist(), 1, {})
         assert ties > 0
         assert len(calls) == sum(reason is not None for reason in reasons) > 0
         assert set(calls) <= {"near-equal centers", "empty cluster"}
@@ -386,7 +386,7 @@ def assert_lloyd_matches_reference(hist, starts, max_iter):
     ends, finals, stopped = {}, [], 0
     for start in starts:
         centers, runs, trace, iters = lloyd_reference(hist, list(start), max_iter)
-        alone = _lloyd(hist, list(start), max_iter)
+        alone = _lloyd(hist, list(start), max_iter, {})
         assert np.array(alone[0]).tobytes() == np.array(centers).tobytes()
         assert alone[1] == (runs[0], [*runs[1], hist.distinct.size])
         assert np.array(alone[2]).tobytes() == np.array(trace).tobytes()

@@ -59,8 +59,8 @@ def test_sorted_by_area_then_topleft():
     mask[5, 4:9] = True   # area 5
     comps = connected_components(mask, connectivity=8)
     assert [c.area for c in comps] == [5, 2, 2]
-    assert comps[1].anchor == (0, 7)
-    assert comps[2].anchor == (3, 0)
+    assert tuple(comps[1].pixels[0]) == (0, 7)
+    assert tuple(comps[2].pixels[0]) == (3, 0)
 
 
 def test_centroid_is_pixel_mean():
@@ -148,11 +148,11 @@ def test_matches_scipy_label_on_240_masks(connectivity):
     for mask in cross_check_masks():
         expected = scipy_components(mask, connectivity)
         comps = connected_components(mask, connectivity=connectivity)
-        assert sorted(c.anchor for c in comps) == sorted(expected)
-        keys = [(-c.area, c.anchor) for c in comps]
+        assert sorted(tuple(c.pixels[0]) for c in comps) == sorted(expected)
+        keys = [(-c.area, tuple(c.pixels[0])) for c in comps]
         assert keys == sorted(keys)
         for c in comps:
-            area, centroid, pixels = expected[c.anchor]
+            area, centroid, pixels = expected[tuple(c.pixels[0])]
             assert c.area == area
             assert c.centroid == centroid
             # same pixels, in row-major scan order

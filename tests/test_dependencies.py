@@ -78,3 +78,41 @@ def test_cli_import_leaves_multiprocessing_out():
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def imported_names(tree):
+    """(line, bound name) of every name an import in ``tree`` binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def unused_imports(source, exempt=()):
+    """Names that ``source`` imports and never reads, as "line name"."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line} {name}" for line, name in imported_names(tree) if name not in read and name not in exempt]
+
+
+# pipeline.py imports these for benchmark/tracing.py to wrap, not to call.
+TRACER_IMPORTS = {"pipeline.py": {"em_gmm_1d", "kmeans_1d"}}
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports to re-export.
+    found = {
+        path.name: unused_imports(path.read_text(encoding="utf-8"), TRACER_IMPORTS.get(path.name, ()))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert "cli.py" in found  # the walk found the modules
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unused_import_check_sees_each_import_form():
+    source = "import os\nimport numpy as np\nimport xml.dom\nfrom math import pi, tau as t\nnp.zeros(1)\nprint(xml.dom, pi)\n"
+    assert unused_imports(source) == ["1 os", "4 t"]

@@ -26,7 +26,7 @@ from tumorbox.evaluate import (
     read_manifest,
 )
 from tumorbox.mha import read_mha, write_mha
-from tumorbox.pipeline import BBox, ExtractParams
+from tumorbox.pipeline import BBox, ExtractParams, PipelineReport
 from tumorbox.volume import KIND_LABEL, Slice, Volume
 
 
@@ -174,7 +174,7 @@ class TestEvaluateCase:
     def test_phantom_em_scores_high(self, phantom_cases, phantom_atlases):
         spec, vol, gt = phantom_cases[0]
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
-        result = evaluate_case(vol, gt, phantom_atlases, RunConfig(method="em", extract=params))
+        result = evaluate_case(vol, cumulative_gt(gt), phantom_atlases, RunConfig(method="em", extract=params))
         assert not result.failed
         assert result.dice >= 0.7
 
@@ -184,11 +184,11 @@ class TestEvaluateCase:
 
         class Fake:
             bbox = target
-            report = None
+            report = PipelineReport("em", [], (0, 0, 0, 0), (), False, target)
 
         monkeypatch.setattr(ev, "run_pipeline", lambda *a, **k: Fake())
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES)
-        result = evaluate_case(vol, gt, phantom_atlases, RunConfig(extract=params))
+        result = evaluate_case(vol, cumulative_gt(gt), phantom_atlases, RunConfig(extract=params))
         assert result.dice == 1.0
 
     def test_unconverged_em_warns_once_naming_case_and_slices(self, phantom_cases, phantom_atlases, caplog):
@@ -196,7 +196,7 @@ class TestEvaluateCase:
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES, radius_margin=1.0)
         cfg = RunConfig(method="em", extract=params, cluster=ClusterConfig(max_iter=2))
         with caplog.at_level(logging.WARNING):
-            result = evaluate_case(vol, gt, phantom_atlases, cfg, case_id="phantom_000")
+            result = evaluate_case(vol, cumulative_gt(gt), phantom_atlases, cfg, case_id="phantom_000")
         by_logger = {}
         for rec in caplog.records:
             by_logger.setdefault(rec.name, []).append(rec.getMessage())
@@ -213,7 +213,7 @@ class TestEvaluateCase:
         spec, _, gt = phantom_cases[0]
         zero = Volume(data=np.zeros((64, 128, 128)))
         params = ExtractParams(representative_slices=PHANTOM_REP_SLICES)
-        result = evaluate_case(zero, gt, phantom_atlases, RunConfig(extract=params))
+        result = evaluate_case(zero, cumulative_gt(gt), phantom_atlases, RunConfig(extract=params))
         assert result.failed
         assert result.dice == 0.0
         assert result.bbox_pred is None
@@ -225,12 +225,11 @@ class TestEvaluateCase:
         cropped = Volume(data=gt.data[:, 16:112, 16:112], kind=KIND_LABEL)  # keeps the tumor
         monkeypatch.setattr(ev, "run_pipeline", lambda *a, **k: pytest.fail("pipeline ran"))
         cfg = RunConfig(extract=ExtractParams(representative_slices=PHANTOM_REP_SLICES))
-        for plane in (cropped, cumulative_gt(cropped)):
-            with pytest.raises(ValidationError) as info:
-                evaluate_case(vol, plane, phantom_atlases, cfg)
-            assert str(info.value) == (
-                "ground truth plane has shape (96, 96), but the volume's slices have shape (128, 128)"
-            )
+        with pytest.raises(ValidationError) as info:
+            evaluate_case(vol, cumulative_gt(cropped), phantom_atlases, cfg)
+        assert str(info.value) == (
+            "ground truth plane has shape (96, 96), but the volume's slices have shape (128, 128)"
+        )
 
 
 class TestManifest:
@@ -242,6 +241,14 @@ class TestManifest:
         assert cases[0].case_id == "case_flair"
         assert cases[0].intensity_path == tmp_path / "case_flair.mha"
         assert cases[0].cohort == "HGG"
+
+    def test_case_id_drops_only_a_trailing_extension(self, tmp_path):
+        # ".mha" or ".mhd" inside the name is part of the ID: "a.mha1.mha"
+        # is not "a1", and "b.mhd_t1.mha" is not "b_t1".
+        man = tmp_path / "manifest.csv"
+        rows = ["a.mha1.mha", "a1.mha", "b.mhd_t1.mha", "c.mhd", "d.nii", "e.mhd.mha"]
+        man.write_text("intensity_path,gt_path,cohort\n" + "".join(f"{r},gt_{r},HGG\n" for r in rows))
+        assert [c.case_id for c in read_manifest(man)] == ["a.mha1", "a1", "b.mhd_t1", "c", "d.nii", "e.mhd"]
 
     def test_short_row_rejected_but_empty_field_kept(self, tmp_path):
         man = tmp_path / "short.csv"

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ def test_spec_json_round_trip(tmp_path):
 
 
 def test_spec_missing_field_is_format_error():
-    payload = small_spec().to_dict()
+    payload = asdict(small_spec())
     del payload["tumor_radius"]
     with pytest.raises(FormatError, match="tumor_radius"):
         spec_from_dict(payload)

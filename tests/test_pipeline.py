@@ -31,7 +31,8 @@ from tumorbox.volume import Volume
 
 
 def label_map_from(labels, k=5, index=1):
-    return LabelMap(labels=np.asarray(labels, dtype=np.int32), k=k, slice_index=index)
+    labels = np.asarray(labels, dtype=np.int32)
+    return LabelMap(labels=labels, k=k, brain_pixels=int(np.count_nonzero(labels)), slice_index=index)
 
 
 def tumor_map_from(mask, index=1):
@@ -138,7 +139,7 @@ class TestExtractTumorMap:
         assert extract_tumor_map(lm).used_class == 4
 
     def test_requires_five_classes(self):
-        lm = LabelMap(labels=np.zeros((4, 4), dtype=np.int32), k=3)
+        lm = LabelMap(labels=np.zeros((4, 4), dtype=np.int32), k=3, brain_pixels=0)
         with pytest.raises(ValidationError):
             extract_tumor_map(lm, ExtractParams())
 
