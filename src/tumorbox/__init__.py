@@ -60,7 +60,6 @@ from .pipeline import (
 )
 from .preprocess import (
     Atlas,
-    EnhanceParams,
     brain_threshold,
     build_atlas,
     enhance_contrast,

@@ -93,7 +93,10 @@ def _load_atlases(atlas_dir: Path, rep_slices) -> dict:
             raise ConfigurationError(
                 f"missing atlas for representative slice {n}: {path}"
             )
-        atlases[n] = load_atlas(path)
+        atlas = load_atlas(path)
+        if atlas.slice_index != n:
+            raise ConfigurationError(f"atlas file {path} holds slice {atlas.slice_index}, not representative slice {n}")
+        atlases[n] = atlas
     return atlases
 
 
@@ -146,8 +149,8 @@ def _write_debug(debug_dir, report) -> None:
 
 def cmd_extract(args) -> int:
     cfg = _resolve_config(args)
-    volume = read_mha(args.volume)
     atlases = _load_atlases(Path(args.atlas_dir), cfg.extract.representative_slices)
+    volume = read_mha(args.volume)
 
     try:
         result = run_pipeline(
@@ -156,7 +159,6 @@ def cmd_extract(args) -> int:
             method=cfg.method,
             cluster_cfg=cfg.cluster,
             params=cfg.extract,
-            enhance=cfg.enhance,
         )
         bbox, report, failure = result.bbox, result.report, None
     except NoTumorDetectedError as exc:
@@ -193,12 +195,14 @@ def _box_fields(box) -> list:
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
+    if cfg.loo and args.atlas_dir:
+        raise ConfigurationError(
+            "--atlas-dir cannot be given with loo, which builds each case's atlases from the other cases"
+        )
+    if not cfg.loo and not args.atlas_dir:
+        raise ConfigurationError("eval needs --atlas-dir unless --loo is given")
     cases = _read_cases(args.manifest)
-    atlases = None
-    if not cfg.loo:
-        if not args.atlas_dir:
-            raise ConfigurationError("eval needs --atlas-dir unless --loo is given")
-        atlases = _load_atlases(Path(args.atlas_dir), cfg.extract.representative_slices)
+    atlases = None if cfg.loo else _load_atlases(Path(args.atlas_dir), cfg.extract.representative_slices)
 
     results = evaluate_manifest(cases, atlases, cfg)
 

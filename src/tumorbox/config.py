@@ -1,7 +1,7 @@
 """Run configuration: the single documented layer of numeric defaults.
 
-Every tunable knob lives in one of three dataclasses
-(ClusterConfig, ExtractParams, EnhanceParams) composed into RunConfig.
+Every tunable knob lives in one of two dataclasses
+(ClusterConfig, ExtractParams) composed into RunConfig.
 Values resolve with precedence: explicit CLI flag > JSON config file >
 dataclass default, and are checked once, when the RunConfig is built.
 Phantom spec files are checked by the same type rules (``build_checked``).
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from .clustering import DEFAULT_SEED, METHOD_EM, METHOD_KMEANS, ClusterConfig
 from .errors import ConfigurationError, ValidationError
 from .pipeline import ExtractParams
-from .preprocess import EnhanceParams
 
 METHODS = (METHOD_EM, METHOD_KMEANS)
 
@@ -86,7 +85,6 @@ class RunConfig:
     jobs: int = 1
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     extract: ExtractParams = field(default_factory=ExtractParams)
-    enhance: EnhanceParams = field(default_factory=EnhanceParams)
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -113,7 +111,7 @@ class RunConfig:
         object.__setattr__(self, "extract", replace(self.extract, strict=self.strict))
 
 
-_NESTED = {"cluster": ClusterConfig, "extract": ExtractParams, "enhance": EnhanceParams}
+_NESTED = {"cluster": ClusterConfig, "extract": ExtractParams}
 _TOP_LEVEL = {f.name for f in dataclasses.fields(RunConfig)} - set(_NESTED)
 
 

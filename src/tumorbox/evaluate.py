@@ -205,7 +205,6 @@ def evaluate_case(
             method=cfg.method,
             cluster_cfg=cfg.cluster,
             params=cfg.extract,
-            enhance=cfg.enhance,
         )
         bbox, report = result.bbox, result.report
     except NoTumorDetectedError as exc:

@@ -20,7 +20,7 @@ from .clustering import ClusterConfig, LabelMap, segment_slice
 from .clustering import em_gmm_1d, kmeans_1d  # noqa: F401
 from .components import connected_components
 from .errors import ConfigurationError, NoTumorDetectedError, ValidationError
-from .preprocess import Atlas, EnhanceParams, enhance_contrast, normalize
+from .preprocess import Atlas, enhance_contrast, normalize
 from .volume import Volume, extract_slice
 
 log = logging.getLogger(__name__)
@@ -31,22 +31,24 @@ REPRESENTATIVE_SLICES = (50, 66, 87, 89, 92, 110)
 SELECT_MIN_SLICE = 32
 SELECT_MAX_SLICE = 118
 
+# A component larger than this fraction of its slice's brain pixels is not
+# suitable: the ceiling rejects a whole-brain "component" on bright slices.
+AREA_MAX_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class ExtractParams:
     """Tumor-map extraction and fusion knobs.
 
     A component is suitable when its area lies between ``area_min`` and
-    ``area_max_fraction`` of the slice's brain-pixel count; the relative
-    upper bound rejects a whole-brain "component" on bright slices. A map
-    marks a quadrant when the quadrant holds any of its detections. The
-    safety disk radius is radius_margin times the component's equivalent
-    radius. ``strict`` drops the no-winning-quadrant fallback: the fused map
-    is then empty, which the box step rejects.
+    AREA_MAX_FRACTION of the slice's brain-pixel count. A map marks a
+    quadrant when the quadrant holds any of its detections. The safety disk
+    radius is radius_margin times the component's equivalent radius.
+    ``strict`` drops the no-winning-quadrant fallback: the fused map is then
+    empty, which the box step rejects.
     """
 
     area_min: float = 50.0
-    area_max_fraction: float = 0.5
     radius_margin: float = 1.5
     vote_threshold: int = 2
     representative_slices: tuple[int, ...] = REPRESENTATIVE_SLICES
@@ -56,8 +58,6 @@ class ExtractParams:
     def __post_init__(self):
         if self.area_min <= 0:
             raise ValidationError(f"area_min must be > 0, got {self.area_min}")
-        if not 0 < self.area_max_fraction <= 1:
-            raise ValidationError("area_max_fraction must be in (0, 1]")
         if self.radius_margin < 1:
             raise ValidationError(f"radius_margin must be >= 1, got {self.radius_margin}")
         if self.vote_threshold < 1:
@@ -165,7 +165,7 @@ def extract_tumor_map(label_map: LabelMap, params: ExtractParams | None = None) 
     """Reduce a 5-class label map to a binary tumor map.
 
     Cascade: take the largest 8-connected component of class 5; if its area
-    is suitable (from area_min up to area_max_fraction of the slice's brain
+    is suitable (from area_min up to AREA_MAX_FRACTION of the slice's brain
     pixels), the map is that component united with the safety disk around
     its centroid; otherwise retry with class 4; if neither class yields a
     suitable component the map is black, which simply means no tumor was
@@ -177,7 +177,7 @@ def extract_tumor_map(label_map: LabelMap, params: ExtractParams | None = None) 
             f"tumor map extraction expects 5 classes, label map has k={label_map.k}"
         )
     labels = label_map.labels
-    area_max = params.area_max_fraction * label_map.brain_pixels
+    area_max = AREA_MAX_FRACTION * label_map.brain_pixels
 
     for cls in (5, 4):
         comps = connected_components(labels == cls, connectivity=8)
@@ -338,7 +338,6 @@ def run_pipeline(
     method: str = "em",
     cluster_cfg: ClusterConfig | None = None,
     params: ExtractParams | None = None,
-    enhance: EnhanceParams | None = None,
 ) -> PipelineResult:
     """Run the full pipeline on one volume and return the bounding box.
 
@@ -350,7 +349,6 @@ def run_pipeline(
     """
     cluster_cfg = cluster_cfg or ClusterConfig()
     params = params or ExtractParams()
-    enhance = enhance or EnhanceParams()
 
     slices = params.representative_slices
     if volume.depth < max(slices):
@@ -377,7 +375,7 @@ def run_pipeline(
     for n in slices:
         raw = timed("extract", extract_slice, volume, n)
         norm = timed("normalize", normalize, raw)
-        enhanced = timed("enhance", enhance_contrast, norm, atlases[n], enhance)
+        enhanced = timed("enhance", enhance_contrast, norm, atlases[n])
         label_map = timed("segment", segment_slice, enhanced, method, cluster_cfg)
         maps.append(timed("tumor_map", extract_tumor_map, label_map, params))
         fits.append((label_map.degenerate, label_map.fit))

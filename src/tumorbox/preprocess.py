@@ -22,25 +22,12 @@ from .volume import Slice
 _ATLAS_NDIM = {"counts": 2, "num_patients": 0, "slice_index": 0}
 
 
-@dataclass(frozen=True)
-class EnhanceParams:
-    """Contrast enhancement knobs.
-
-    gain_up brightens likely-tumor pixels above the slice threshold,
-    gain_down dims likely-tumor pixels below it as well as all other brain
-    pixels. Likely-tumor pixels are those with a non-zero atlas count.
-    Magnitudes are artifact choices; defaults keep one application from
-    saturating mid-range pixels.
-    """
-
-    gain_up: float = 1.25
-    gain_down: float = 0.8
-
-    def __post_init__(self):
-        if self.gain_up <= 1:
-            raise ValidationError(f"gain_up must be > 1, got {self.gain_up}")
-        if not 0 < self.gain_down < 1:
-            raise ValidationError(f"gain_down must be in (0, 1), got {self.gain_down}")
+# Contrast enhancement gains: likely-tumor pixels above the slice threshold
+# are brightened by GAIN_UP, every other brain pixel is dimmed by GAIN_DOWN.
+# Their magnitudes are artifact choices that keep one application from
+# saturating mid-range pixels.
+GAIN_UP = 1.25
+GAIN_DOWN = 0.8
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,15 +105,14 @@ def build_atlas(gt_slices: list[Slice]) -> Atlas:
     return Atlas(slice_index=first.index, num_patients=len(gt_slices), counts=counts)
 
 
-def enhance_contrast(slc: Slice, atlas: Atlas, params: EnhanceParams | None = None) -> Slice:
+def enhance_contrast(slc: Slice, atlas: Atlas) -> Slice:
     """Stretch likely-tumor contrast around the slice's brain-mean threshold.
 
     Likely-tumor pixels (atlas count > 0) above the threshold are multiplied
-    by gain_up, those at or below it by gain_down; remaining brain pixels are
-    dimmed by gain_down; the zero background is untouched. Output is clamped
+    by GAIN_UP, those at or below it by GAIN_DOWN; remaining brain pixels are
+    dimmed by GAIN_DOWN; the zero background is untouched. Output is clamped
     to [0, 1].
     """
-    params = params or EnhanceParams()
     if atlas.counts.shape != slc.data.shape:
         raise ValidationError(f"atlas dims {atlas.counts.shape} do not match slice {slc.data.shape}")
     if atlas.slice_index != slc.index:
@@ -138,8 +124,8 @@ def enhance_contrast(slc: Slice, atlas: Atlas, params: EnhanceParams | None = No
     # Pixels at or below 0 end at 0 after the clip, and the threshold is at
     # least 0, so only brain pixels are brightened. (Only a -0.0 or NaN
     # pixel, which normalize never gives, keeps its sign or NaN.)
-    out = values * params.gain_down
-    np.multiply(values, params.gain_up, out=out, where=(atlas.counts > 0) & (values > threshold))
+    out = values * GAIN_DOWN
+    np.multiply(values, GAIN_UP, out=out, where=(atlas.counts > 0) & (values > threshold))
     np.clip(out, 0.0, 1.0, out=out)
     return Slice(data=out, index=slc.index)
 

@@ -448,6 +448,17 @@ class TestExtract:
         assert code == 2
         assert f"missing atlas for representative slice 12: {atlas_dir / _atlas_filename(12)}" in caplog.text
 
+    def test_mislabelled_atlas_names_file_before_reading_the_volume(self, tmp_path, atlas_dir, caplog):
+        mislabelled = atlas_dir / _atlas_filename(11)
+        mislabelled.write_bytes((atlas_dir / _atlas_filename(15)).read_bytes())
+        with caplog.at_level("ERROR"):
+            code = run([
+                "extract", "--volume", str(tmp_path / "absent.mha"),  # never read: exit 2, not 4
+                "--atlas-dir", str(atlas_dir), "--slices", SMALL_SLICES,
+            ])
+        assert code == 2
+        assert f"atlas file {mislabelled} holds slice 15, not representative slice 11" in caplog.text
+
     def test_debug_dump(self, phantom_dir, atlas_dir, tmp_path, capsys):
         debug = tmp_path / "debug"
         code = run([
@@ -680,6 +691,39 @@ class TestEval:
         assert_shallow_gt_logged(caplog, gt_path)
         assert not list(tmp_path.rglob("results_*.csv"))
         assert not list(tmp_path.rglob("summary_*.json"))
+
+    def test_mislabelled_atlas_exits_2_before_any_case(self, phantom_dir, atlas_dir, tmp_path, monkeypatch, caplog):
+        import tumorbox.evaluate as ev
+
+        def no_case(*args, **kwargs):
+            raise AssertionError("a volume was read despite a mislabelled atlas")
+
+        monkeypatch.setattr(ev, "read_mha", no_case)
+        mislabelled = atlas_dir / _atlas_filename(11)
+        mislabelled.write_bytes((atlas_dir / _atlas_filename(15)).read_bytes())
+        out = tmp_path / "results"
+        with caplog.at_level("ERROR"):
+            code = run([
+                "eval", "--manifest", str(phantom_dir / "manifest.csv"), "--atlas-dir", str(atlas_dir),
+                "--out-dir", str(out), "--slices", SMALL_SLICES, "--method", "kmeans",
+            ])
+        assert code == 2
+        assert f"atlas file {mislabelled} holds slice 15, not representative slice 11" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--atlas-dir", "absent-atlases", "--loo"], "--atlas-dir cannot be given with loo"),
+        (["--atlas-dir", "absent-atlases", "--config", "loo.json"], "--atlas-dir cannot be given with loo"),
+        ([], "eval needs --atlas-dir unless --loo is given"),
+    ], ids=["loo-flag", "loo-config", "neither"])
+    def test_atlas_dir_or_loo_but_not_both_before_the_manifest(self, tmp_path, monkeypatch, caplog, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "loo.json").write_text(json.dumps({"loo": True}))
+        with caplog.at_level("ERROR"):
+            code = run(["eval", "--manifest", "absent.csv", "--out-dir", "out", *argv])  # never read: exit 2, not 4
+        assert code == 2
+        assert message in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_paper_union_formula_labelled(self, phantom_dir, atlas_dir, tmp_path, capsys):
         # Both Dice forms in one run, each in its own column and mean; the
@@ -1045,10 +1089,10 @@ class TestConfigValidation:
         ({"cluster": {"tol": float("nan")}}, "cluster.tol"),
         ({"extract": {"radius_margin": float("inf")}}, "extract.radius_margin"),
         ({"extract": {"area_min": float("inf")}}, "extract.area_min"),
-        ({"enhance": {"gain_up": float("nan")}}, "enhance.gain_up"),
-        ({"enhance": {"gain_down": -float("inf")}}, "enhance.gain_down"),
+        ({"extract": {"radius_margin": float("nan")}}, "extract.radius_margin"),
+        ({"extract": {"area_min": -float("inf")}}, "extract.area_min"),
         ({"cluster": {"tol": 10**400}}, "cluster.tol"),
-    ], ids=["nan-tol", "inf-radius-margin", "inf-area-min", "nan-gain-up", "neg-inf-gain-down", "huge-int-tol"])
+    ], ids=["nan-tol", "inf-radius-margin", "inf-area-min", "nan-radius-margin", "neg-inf-area-min", "huge-int-tol"])
     def test_non_finite_number_is_rejected(self, file_cfg, key):
         with pytest.raises(ConfigurationError, match=f"config key '{key}' must be a finite number"):
             build_run_config(file_cfg)
@@ -1056,7 +1100,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("text, key", [
         ('{"cluster": {"tol": NaN}}', "cluster.tol"),
         ('{"extract": {"radius_margin": Infinity}}', "extract.radius_margin"),
-        ('{"enhance": {"gain_down": -Infinity}}', "enhance.gain_down"),
+        ('{"extract": {"area_min": -Infinity}}', "extract.area_min"),
     ], ids=["NaN", "Infinity", "-Infinity"])
     def test_non_finite_token_in_config_file_exits_2(self, tmp_path, caplog, text, key):
         cfg = tmp_path / "cfg.json"
@@ -1137,6 +1181,9 @@ class TestConfigSurface:
         ("extract", "area_max", None),
         ("extract", "min_quadrant_pixels", 1),
         ("enhance", "atlas_min_count", 1),
+        ("enhance", "gain_up", 1.25),
+        ("enhance", "gain_down", 0.8),
+        ("extract", "area_max_fraction", 0.5),
     ]
     # A field the fitters still read, but which a config may not set.
     NOT_SETTABLE = {("cluster", "k"): "config key 'cluster.k' is not allowed; it is always 5"}
@@ -1148,17 +1195,16 @@ class TestConfigSurface:
         if f.name not in _TOP_LEVEL
     } - {"cluster.k"}
 
-    def test_sixteen_settable_keys(self):
+    def test_thirteen_settable_keys(self):
         assert sorted(_TOP_LEVEL) == [
             "jobs", "loo", "method", "seed", "strict",
         ]
         assert sorted(self.NESTED) == [
             "cluster.max_iter", "cluster.n_restarts", "cluster.tol",
-            "enhance.gain_down", "enhance.gain_up",
-            "extract.area_max_fraction", "extract.area_min", "extract.bbox_margin",
+            "extract.area_min", "extract.bbox_margin",
             "extract.radius_margin", "extract.representative_slices", "extract.vote_threshold",
         ]
-        assert len(_TOP_LEVEL) + len(self.NESTED) == 16
+        assert len(_TOP_LEVEL) + len(self.NESTED) == 13
 
     def test_readme_config_block_is_the_defaults_and_names_every_nested_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -1188,7 +1234,11 @@ class TestConfigSurface:
                 "--out-dir", str(tmp_path / "out"), "--loo", "--config", str(cfg),
             ])
         assert code == 2
-        unknown = f"unknown {section + ' ' if section else ''}config key(s): {key}"
+        # A key of a section that is gone is reported as the section.
+        unknown = (
+            f"unknown {section} config key(s): {key}" if section in _NESTED
+            else f"unknown config key(s): {section or key}"
+        )
         assert self.NOT_SETTABLE.get((section, key), unknown) in caplog.text
         assert not (tmp_path / "out").exists()
 

@@ -373,6 +373,30 @@ def test_payload_from_a_pipe(tmp_path, caplog, layout, extra, keep):
     assert payload_warnings(caplog) == expected
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("cut", [0, 7], ids=["whole", "short"])
+def test_written_volume_read_from_a_pipe(tmp_path, cut):
+    # write_mha's own bytes, fed through a pipe by a writer thread.
+    rng = np.random.default_rng(29)
+    vol = Volume(data=rng.random((3, 4, 5)).astype(np.float32).astype(np.float64))
+    written = tmp_path / "written.mha"
+    write_mha(vol, written)
+    body = written.read_bytes()
+    fifo = tmp_path / "pipe.mha"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(body[:len(body) - cut],), daemon=True)
+    writer.start()
+    try:
+        if cut:
+            with pytest.raises(TruncatedDataError, match=f"payload has {240 - cut} bytes, 240 expected"):
+                read_mha(fifo)
+        else:
+            assert np.array_equal(read_mha(fifo).data, vol.data)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 # Label payloads are checked as stored.
 @pytest.mark.parametrize("element_type,dtype,bad,named", [
     ("MET_FLOAT", np.float32, 2.5, "[2.5]"),

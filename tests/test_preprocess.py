@@ -19,7 +19,6 @@ from tumorbox.cli import _atlas_filename
 from tumorbox.errors import FormatError, ValidationError
 from tumorbox.preprocess import (
     Atlas,
-    EnhanceParams,
     brain_threshold,
     build_atlas,
     enhance_contrast,
@@ -163,8 +162,7 @@ class TestEnhanceContrast:
         data[0] = 0.0
         counts = (rng.random((10, 10)) > 0.4).astype(np.int32) * 2
         atlas = Atlas(slice_index=4, num_patients=2, counts=counts)
-        params = EnhanceParams(gain_up=1.25, gain_down=0.8)
-        out = enhance_contrast(make_slice(data, index=4), atlas, params)
+        out = enhance_contrast(make_slice(data, index=4), atlas)
         expected = enhance_loop(data, counts, 1, 1.25, 0.8)
         assert np.allclose(out.data, expected, atol=1e-15)
 
@@ -218,12 +216,6 @@ class TestEnhanceContrast:
             enhance_contrast(make_slice(np.zeros((4, 4)), index=2), atlas)
         with pytest.raises(ValidationError):
             enhance_contrast(make_slice(np.zeros((3, 3)), index=1), atlas)
-
-    def test_param_validation(self):
-        with pytest.raises(ValidationError):
-            EnhanceParams(gain_up=0.9)
-        with pytest.raises(ValidationError):
-            EnhanceParams(gain_down=1.2)
 
 
 def write_npz(path, **members):

@@ -1,5 +1,5 @@
-"""Every box of input set 0 of each benchmark workload equals the one
-recorded in benchmark/references.json.
+"""Every box of input set 0 and of the held-out set of each benchmark
+workload equals the one recorded in benchmark/references.json.
 
 The north star's invariant is that a given volume, seed and config always
 gives the same box. This runs one pass of each workload exactly as
@@ -40,13 +40,10 @@ def references():
     return json.loads((BENCH_DIR / "references.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", ["phantom128", "brats240", "cli-disk"])
-def test_input_set_0_matches_the_recorded_references(workloads, tb, references, tmp_path, name):
-    reference = references[name]["0"]
+def check_set(workloads, tb, references, work, name, held_out):
+    reference = references[name][workloads.set_key(0, held_out)]
     run = workloads.Run(reference=reference)
-    session = workloads.open_session(
-        tb, name, run, workloads.base_seed(0, held_out=False), 1, tmp_path / "work", 2
-    )
+    session = workloads.open_session(tb, name, run, workloads.base_seed(0, held_out), 1, work, 2)
     done = [(kind, item, session.run_item(kind, item)) for kind, item in session.items]
     session.finish(done)
 
@@ -55,3 +52,13 @@ def test_input_set_0_matches_the_recorded_references(workloads, tb, references, 
     assert run.inputs_sha256 == reference["inputs_sha256"]
     assert set(run.outcomes) == set(reference["outcomes"])
     assert run.extra["mean_dice"][0] == pytest.approx(reference["mean_dice"], abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["phantom128", "brats240", "cli-disk"])
+def test_input_set_0_matches_the_recorded_references(workloads, tb, references, tmp_path, name):
+    check_set(workloads, tb, references, tmp_path / "work", name, held_out=False)
+
+
+@pytest.mark.parametrize("name", ["phantom128", "brats240", "cli-disk"])
+def test_held_out_set_matches_the_recorded_references(workloads, tb, references, tmp_path, name):
+    check_set(workloads, tb, references, tmp_path / "work", name, held_out=True)
