@@ -9,7 +9,6 @@ detected in strict mode, 4 I/O or file-format trouble.
 
 import argparse
 import csv
-import dataclasses
 import json
 import logging
 import sys
@@ -34,24 +33,12 @@ from .evaluate import (
 )
 from .mha import read_mha, write_mha
 from .phantom import PhantomSpec, generate_phantom, save_spec
-from .phantom import load_spec as load_phantom_spec
 from .pipeline import REPRESENTATIVE_SLICES, SELECT_MAX_SLICE, SELECT_MIN_SLICE
 from .pipeline import run_pipeline, select_representatives
 from .preprocess import build_atlas, load_atlas, save_atlas
 from .volume import KIND_LABEL
 
 log = logging.getLogger(__name__)
-
-# The `phantom` flags that shape each case, with their defaults. A `--spec`
-# file fixes all of them, so none may be given with it.
-PHANTOM_SHAPE_DEFAULTS = {
-    "--dims": PhantomSpec.dims,
-    "--tissue": PhantomSpec.tissue_intensity,
-    "--offset": PhantomSpec.tumor_offset,
-    "--noise-sigma": PhantomSpec.noise_sigma,
-    "--radius-min": 12.0,
-    "--radius-max": 20.0,
-}
 
 # Brain ellipsoid radii as fractions of the volume dims, matching the rough
 # proportions of a skull-stripped BraTS head.
@@ -231,25 +218,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _phantom_specs(args, seed: int) -> list[PhantomSpec]:
+def _phantom_specs(args) -> list[PhantomSpec]:
     """Every case's spec, each checked as it is built."""
     if args.count < 1:
         raise ConfigurationError(f"--count must be >= 1, got {args.count}")
-    shape = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in PHANTOM_SHAPE_DEFAULTS}
-    if args.spec:
-        # fixed geometry from the spec file; the spec's seed numbers the cases
-        if args.seed is not None:
-            raise ConfigurationError("--seed cannot be given with --spec, whose seed numbers the cases")
-        for flag, value in shape.items():
-            if value is not None:
-                raise ConfigurationError(f"{flag} cannot be given with --spec, which fixes every case's phantom")
-        base = load_phantom_spec(args.spec)
-        return [dataclasses.replace(base, seed=base.seed + i) for i in range(args.count)]
-    shape = {flag: PHANTOM_SHAPE_DEFAULTS[flag] if value is None else value for flag, value in shape.items()}
-    radius_lo, radius_hi = shape["--radius-min"], shape["--radius-max"]
-    if radius_lo > radius_hi:
+    if args.seed < 0:  # the placement draw below would fail with a bare ValueError
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+    if args.radius_min > args.radius_max:
         raise ConfigurationError("--radius-min must not exceed --radius-max")
-    dims = tuple(shape["--dims"])
+    dims = tuple(args.dims)
     width, height, depth = dims
     brain_center = (width / 2, height / 2, depth / 2)
     brain_radii = (
@@ -259,7 +236,7 @@ def _phantom_specs(args, seed: int) -> list[PhantomSpec]:
     )
     specs = []
     for i in range(args.count):
-        placement = np.random.default_rng([seed, i])
+        placement = np.random.default_rng([args.seed, i])
         specs.append(PhantomSpec(
             dims=dims,
             brain_center=brain_center,
@@ -269,19 +246,18 @@ def _phantom_specs(args, seed: int) -> list[PhantomSpec]:
                 brain_center[1] + placement.uniform(-0.0625, 0.0625) * height,
                 brain_center[2] + placement.uniform(-0.03, 0.05) * depth,
             ),
-            tumor_radius=float(placement.uniform(radius_lo, radius_hi)),
-            tumor_offset=shape["--offset"],
-            tissue_intensity=shape["--tissue"],
-            noise_sigma=shape["--noise-sigma"],
-            seed=seed + i,
+            tumor_radius=float(placement.uniform(args.radius_min, args.radius_max)),
+            tumor_offset=args.offset,
+            tissue_intensity=args.tissue,
+            noise_sigma=args.noise_sigma,
+            seed=args.seed + i,
         ))
     return specs
 
 
 def cmd_phantom(args) -> int:
-    cfg = _resolve_config(args)
     # A bad spec for any case fails here, before anything is written.
-    specs = _phantom_specs(args, cfg.seed)
+    specs = _phantom_specs(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [("intensity_path", "gt_path", "cohort")]
@@ -377,17 +353,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_phantom = sub.add_parser("phantom", help="generate synthetic phantom cases")
     p_phantom.add_argument("--out-dir", required=True)
-    p_phantom.add_argument("--count", type=int, default=1)
-    p_phantom.add_argument(
-        "--spec",
-        default=None,
-        help="phantom spec JSON fixing the geometry; cases then differ only by noise seed",
-    )
-    for flag, default in PHANTOM_SHAPE_DEFAULTS.items():
-        # No argparse default: a flag given with --spec must be told from one left out.
-        typed = dict(type=int, nargs=3, metavar=("W", "H", "D")) if flag == "--dims" else dict(type=float)
-        p_phantom.add_argument(flag, **typed, help=f"default {default}; not with --spec")
-    _add_common(p_phantom, "--seed", "--config")
+    p_phantom.add_argument("--count", type=int, default=1, help="number of cases (default %(default)s)")
+    p_phantom.add_argument("--seed", type=int, default=DEFAULT_SEED, help="case i uses seed + i (default %(default)s)")
+    p_phantom.add_argument("--dims", type=int, nargs=3, metavar=("W", "H", "D"), default=list(PhantomSpec.dims),
+                           help="volume size in voxels (default %(default)s)")
+    p_phantom.add_argument("--tissue", type=float, default=PhantomSpec.tissue_intensity,
+                           help="brain tissue intensity (default %(default)s)")
+    p_phantom.add_argument("--offset", type=float, default=PhantomSpec.tumor_offset,
+                           help="tumor intensity above the tissue (default %(default)s)")
+    p_phantom.add_argument("--noise-sigma", type=float, default=PhantomSpec.noise_sigma,
+                           help="noise standard deviation inside the brain (default %(default)s)")
+    p_phantom.add_argument("--radius-min", type=float, default=12.0, help="smallest tumor radius (default %(default)s)")
+    p_phantom.add_argument("--radius-max", type=float, default=20.0, help="largest tumor radius (default %(default)s)")
+    _add_common(p_phantom)
     p_phantom.set_defaults(func=cmd_phantom)
 
     p_select = sub.add_parser("select-slices", help="rank slice indices by summed tumor area")

@@ -4,7 +4,8 @@ Every tunable knob lives in one of two dataclasses
 (ClusterConfig, ExtractParams) composed into RunConfig.
 Values resolve with precedence: explicit CLI flag > JSON config file >
 dataclass default, and are checked once, when the RunConfig is built.
-Phantom spec files are checked by the same type rules (``build_checked``).
+``extract``, ``eval`` and ``atlas build`` read a config file; ``phantom``
+reads none (its cases come from its flags).
 """
 
 import dataclasses
@@ -19,20 +20,18 @@ from .pipeline import ExtractParams
 METHODS = (METHOD_EM, METHOD_KMEANS)
 
 
-def _check_type(key: str, value, ftype, kind: str = "config"):
+def _check_type(key: str, value, ftype):
     """Return ``value`` if it fits the field annotation ``ftype``, else raise.
 
     Booleans are not accepted as numbers, ints are accepted (and converted)
-    where a float is expected, NaN and infinities are not, and a list is
-    accepted for a tuple: one of any length for ``tuple[int, ...]``, one of
-    three items for ``tuple[float, float, float]``.
+    where a float is expected, NaN and infinities are not, and a list of any
+    length is accepted for a ``tuple[int, ...]``.
     """
     if typing.get_origin(ftype) is tuple:
-        args = typing.get_args(ftype)
-        fixed = args[-1] is not Ellipsis
-        if isinstance(value, (list, tuple)) and (not fixed or len(value) == len(args)):
-            return tuple(_check_type(key, v, args[0], kind) for v in value)
-        expected = f"a list of {args[0].__name__}" + (f" with {len(args)} items" if fixed else "")
+        item = typing.get_args(ftype)[0]
+        if isinstance(value, (list, tuple)):
+            return tuple(_check_type(key, v, item) for v in value)
+        expected = f"a list of {item.__name__}"
     elif ftype is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             if abs(value) <= sys.float_info.max:  # not NaN, an infinity or a huge int
@@ -44,29 +43,7 @@ def _check_type(key: str, value, ftype, kind: str = "config"):
         if isinstance(value, ftype) and not (ftype is int and isinstance(value, bool)):
             return value
         expected = ftype.__name__
-    raise ConfigurationError(f"{kind} key {key!r} must be {expected}, got {value!r}")
-
-
-def build_checked(cls, values: dict, kind: str = "config", section: str = ""):
-    """``cls(**values)``, each value checked against its field's annotation.
-
-    An unknown key, a value of the wrong type and a ValidationError from
-    ``cls`` each raise ConfigurationError, naming ``kind`` and ``section``.
-    """
-    types_by_name = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(values) - set(types_by_name)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {section + ' ' if section else ''}{kind} key(s): {', '.join(sorted(unknown))}"
-        )
-    checked = {
-        key: _check_type(f"{section}.{key}" if section else key, value, types_by_name[key], kind)
-        for key, value in values.items()
-    }
-    try:
-        return cls(**checked)
-    except ValidationError as exc:
-        raise ConfigurationError(f"{kind} section {section!r}: {exc}" if section else f"{kind}: {exc}") from exc
+    raise ConfigurationError(f"config key {key!r} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +103,16 @@ def _build_section(section: str, values: dict):
         raise ConfigurationError(
             "config key 'cluster.k' is not allowed; it is always 5, since the tumor map reads classes 5 and 4"
         )
-    return build_checked(_NESTED[section], values, section=section)
+    cls = _NESTED[section]
+    types_by_name = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(values) - set(types_by_name)
+    if unknown:
+        raise ConfigurationError(f"unknown {section} config key(s): {', '.join(sorted(unknown))}")
+    checked = {key: _check_type(f"{section}.{key}", value, types_by_name[key]) for key, value in values.items()}
+    try:
+        return cls(**checked)
+    except ValidationError as exc:
+        raise ConfigurationError(f"config section {section!r}: {exc}") from exc
 
 
 def build_run_config(file_cfg: dict | None = None, flags: dict | None = None) -> RunConfig:

@@ -398,9 +398,13 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
     # slices build one atlas per slice, from which each case subtracts its
     # own tumor pixels. A read error, or a ground truth that marks no tumor,
     # is kept and becomes that case's error row before its volume is read;
-    # an empty ground truth's slices still count in the atlases.
+    # an empty ground truth's slices still count in the atlases. Given
+    # atlases whose shape no readable ground truth has are the wrong atlases
+    # for this cohort, which fails the run before any volume is read; one
+    # ground truth of another shape is that case's fault and error row.
     prepass: list[tuple[dict[int, Slice], Slice] | Exception] = []
     atlas_slices = []
+    gt_shapes = {}  # slice shape -> the first ground truth of that shape
     for case in cases:
         try:
             gt = read_mha(case.gt_path, kind=KIND_LABEL)
@@ -410,12 +414,21 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
         gt_slices = representative_gt_slices(gt, rep, case.gt_path) if cfg.loo else {}
         atlas_slices.append(gt_slices)
         plane = cumulative_gt(gt)
+        gt_shapes.setdefault(plane.data.shape, case.gt_path)
         try:
             gt_box(plane)
         except EmptyGroundTruthError as exc:
             prepass.append(exc)
             continue
         prepass.append((gt_slices, plane))
+    if not cfg.loo and gt_shapes:
+        for n, atlas in atlases.items():
+            if atlas.counts.shape not in gt_shapes:
+                shape, path = next(iter(gt_shapes.items()))
+                raise ConfigurationError(
+                    f"ground truth {path} has slices of shape {shape}, but the atlas for slice {n} has shape "
+                    f"{atlas.counts.shape}, which no ground truth of cohort {cohort!r} has"
+                )
     totals = {n: build_atlas([s[n] for s in atlas_slices]) for n in rep} if cfg.loo and atlas_slices else {}
 
     state = (cases, prepass, totals, atlases, cfg)
@@ -435,8 +448,15 @@ def evaluate_cohort(cases: list[ManifestCase], atlases, cfg: RunConfig) -> Cohor
 
 
 def evaluate_manifest(cases: list[ManifestCase], atlases, cfg: RunConfig) -> list[CohortResult]:
-    """Group manifest cases by cohort and evaluate each group."""
+    """Group manifest cases by cohort and evaluate each group. Under
+    leave-one-out every cohort's size is checked before any case runs."""
     by_cohort: dict[str, list[ManifestCase]] = {}
     for case in cases:
         by_cohort.setdefault(case.cohort, []).append(case)
-    return [evaluate_cohort(group, atlases, cfg) for _, group in sorted(by_cohort.items())]
+    groups = sorted(by_cohort.items())
+    for cohort, group in groups:
+        if cfg.loo and len(group) < 2:
+            raise ConfigurationError(
+                f"leave-one-out needs at least two cases per cohort; cohort {cohort!r} has {len(group)}"
+            )
+    return [evaluate_cohort(group, atlases, cfg) for _, group in groups]

@@ -7,13 +7,12 @@ every pipeline stage can be tested without the restricted dataset.
 """
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .atomic import read_json_object, write_json
-from .config import build_checked
-from .errors import FormatError, ValidationError
+from .atomic import write_json
+from .errors import ValidationError
 from .volume import KIND_LABEL, Volume
 
 
@@ -70,22 +69,9 @@ class PhantomSpec:
             )
 
 
-def spec_from_dict(d: dict) -> PhantomSpec:
-    """The spec ``d`` describes, checked by the config layer's type rules."""
-    missing = [f.name for f in fields(PhantomSpec) if f.name not in d]
-    if missing:
-        raise FormatError(f"phantom spec missing field {missing[0]!r}")
-    return build_checked(PhantomSpec, d, kind="phantom spec")
-
-
 def save_spec(spec: PhantomSpec, path) -> None:
-    """Write ``spec`` as JSON; the write is atomic."""
+    """Write ``spec`` as JSON, a record of the case; the write is atomic."""
     write_json(path, asdict(spec))
-
-
-def load_spec(path) -> PhantomSpec:
-    """The spec in the JSON file ``path``, read as UTF-8 with or without a BOM."""
-    return spec_from_dict(read_json_object(path, "phantom spec"))
 
 
 def generate_phantom(spec: PhantomSpec) -> tuple[Volume, Volume]:

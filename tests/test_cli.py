@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -52,6 +53,21 @@ def assert_debug_dump_is_fresh_fit(debug, volume_path, atlas_dir, method):
         assert "empty" not in expected
         text = (debug / f"debug_slice_{n:03d}.json").read_text()
         assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n", f"slice {n}"
+
+
+def record_reads(monkeypatch):
+    """A list that gets the (file name, kind) of each ``evaluate.read_mha``
+    call from now on."""
+    import tumorbox.evaluate as ev
+
+    reads, real_read = [], ev.read_mha
+
+    def counting_read(path, kind="intensity"):
+        reads.append((path.name, kind))
+        return real_read(path, kind=kind)
+
+    monkeypatch.setattr(ev, "read_mha", counting_read)
+    return reads
 
 
 def file_hashes(paths):
@@ -136,90 +152,23 @@ class TestPhantomCommand:
         assert any("noise_sigma must be finite" in rec.getMessage() for rec in caplog.records)
         assert not list(out.rglob("*"))
 
-    def test_nan_in_spec_file_is_usage_error(self, tmp_path, caplog):
-        from tumorbox.phantom import PhantomSpec
-
-        payload = dataclasses.asdict(PhantomSpec())
-        payload["tumor_radius"] = float("nan")
-        spec_path = tmp_path / "nan_spec.json"
-        spec_path.write_text(json.dumps(payload))  # written as the bare token NaN
-        assert "NaN" in spec_path.read_text()
+    def test_negative_seed_is_usage_error(self, tmp_path, caplog):
         out = tmp_path / "x"
         with caplog.at_level("ERROR"):
-            code = run(["phantom", "--out-dir", str(out), "--spec", str(spec_path)])
+            code = run(["phantom", "--out-dir", str(out), "--seed", "-1", *SMALL])
         assert code == 2
-        assert "phantom spec key 'tumor_radius' must be a finite number, got nan" in caplog.text
-        assert not list(out.rglob("*"))
-
-    def test_negative_seed_in_spec_file_is_usage_error(self, tmp_path, caplog):
-        from tumorbox.phantom import PhantomSpec
-
-        payload = dataclasses.asdict(PhantomSpec())
-        payload["seed"] = -1
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(payload))
-        out = tmp_path / "x"
-        with caplog.at_level("ERROR"):
-            code = run(["phantom", "--out-dir", str(out), "--spec", str(spec_path)])
-        assert code == 2
-        assert "seed must be >= 0, got -1" in caplog.text
+        assert "--seed must be >= 0, got -1" in caplog.text
         assert not out.exists()
 
-    @staticmethod
-    def _run_spec(tmp_path, payload, *extra):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(payload))
-        return run(["phantom", "--out-dir", str(tmp_path / "x"), "--spec", str(spec_path), *extra])
-
-    @pytest.mark.parametrize("key, value, message", [
-        ("brain_center", [64.0, 64.0], "'brain_center' must be a list of float with 3 items, got [64.0, 64.0]"),
-        ("dims", [128, 128, 64, 1], "'dims' must be a list of int with 3 items"),
-        ("dims", [128.5, 128, 64], "'dims' must be int, got 128.5"),
-        ("seed", True, "'seed' must be int, got True"),
-        ("tumor_radius", "14", "'tumor_radius' must be a number, got '14'"),
-        ("tumor_offset", None, "'tumor_offset' must be a number, got None"),
-    ], ids=["short-center", "long-dims", "float-dims", "bool-seed", "string-radius", "null-offset"])
-    def test_mistyped_spec_field_is_usage_error(self, tmp_path, caplog, key, value, message):
-        from tumorbox.phantom import PhantomSpec
-
-        payload = {**dataclasses.asdict(PhantomSpec()), key: value}
-        with caplog.at_level("ERROR"):
-            assert self._run_spec(tmp_path, payload) == 2
-        assert f"phantom spec key {message}" in caplog.text
-        assert not (tmp_path / "x").exists()
-
-    def test_unknown_spec_key_is_usage_error(self, tmp_path, caplog):
-        from tumorbox.phantom import PhantomSpec
-
-        payload = {**dataclasses.asdict(PhantomSpec()), "tumour_radius": 14.0}
-        with caplog.at_level("ERROR"):
-            assert self._run_spec(tmp_path, payload) == 2
-        assert "unknown phantom spec key(s): tumour_radius" in caplog.text
-        assert not (tmp_path / "x").exists()
-
-    def test_seed_with_spec_is_usage_error(self, tmp_path, caplog):
-        from tumorbox.phantom import PhantomSpec
-
-        with caplog.at_level("ERROR"):
-            assert self._run_spec(tmp_path, dataclasses.asdict(PhantomSpec()), "--seed", "11") == 2
-        assert "--seed cannot be given with --spec" in caplog.text
-        assert not (tmp_path / "x").exists()
-
-    @pytest.mark.parametrize("flag, values", [
-        ("--dims", ["16", "16", "8"]),
-        ("--tissue", ["9"]),
-        ("--offset", ["0.4"]),  # the default value counts as given, too
-        ("--noise-sigma", ["0.5"]),
-        ("--radius-min", ["2"]),
-        ("--radius-max", ["30"]),
-    ])
-    def test_shape_flag_with_spec_is_usage_error(self, tmp_path, caplog, flag, values):
-        from tumorbox.phantom import PhantomSpec
-
-        with caplog.at_level("ERROR"):
-            assert self._run_spec(tmp_path, dataclasses.asdict(PhantomSpec()), flag, *values) == 2
-        assert f"{flag} cannot be given with --spec" in caplog.text
-        assert not (tmp_path / "x").exists()
+    def test_help_shows_each_default(self, capsys):
+        defaults = dict(count=1, seed=2015, dims=[128, 128, 64], tissue=0.5, offset=0.4, noise_sigma=0.03,
+                        radius_min=12.0, radius_max=20.0)
+        args = build_parser().parse_args(["phantom", "--out-dir", "x"])
+        assert {key: getattr(args, key) for key in defaults} == defaults
+        assert run(["phantom", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        for value in defaults.values():
+            assert f"(default {value})" in help_text, value
 
     def test_bad_placement_of_a_later_case_writes_nothing(self, tmp_path, caplog):
         argv = ["phantom", "--seed", "2", "--dims", "24", "24", "12", "--radius-min", "2", "--radius-max", "5.5"]
@@ -236,29 +185,6 @@ class TestPhantomCommand:
         assert run(["phantom", "--out-dir", str(out), "--count", count, *SMALL]) == 2
         assert not (out / "manifest.csv").exists()
         assert capsys.readouterr().out == ""
-
-    def test_spec_file_fixes_geometry(self, tmp_path):
-        from tumorbox.mha import read_mha
-        from tumorbox.phantom import PhantomSpec, save_spec
-
-        spec = PhantomSpec(
-            dims=(32, 32, 16),
-            brain_center=(16.0, 16.0, 8.0),
-            brain_radii=(13.0, 13.0, 7.0),
-            tumor_center=(16.0, 16.0, 8.0),
-            tumor_radius=3.0,
-            seed=100,
-        )
-        spec_path = tmp_path / "base_spec.json"
-        save_spec(spec, spec_path)
-        out = tmp_path / "fixed"
-        assert run(["phantom", "--out-dir", str(out), "--count", "2", "--spec", str(spec_path)]) == 0
-        gt0 = read_mha(out / "phantom_000_gt.mha", kind="label")
-        gt1 = read_mha(out / "phantom_001_gt.mha", kind="label")
-        assert np.array_equal(gt0.data, gt1.data)  # same geometry
-        i0 = read_mha(out / "phantom_000_flair.mha")
-        i1 = read_mha(out / "phantom_001_flair.mha")
-        assert not np.array_equal(i0.data, i1.data)  # different noise seed
 
 
 class TestAtlasBuild:
@@ -711,6 +637,49 @@ class TestEval:
         assert f"atlas file {mislabelled} holds slice 15, not representative slice 11" in caplog.text
         assert not out.exists()
 
+    def test_atlases_of_another_shape_exit_2_before_any_volume(self, phantom_dir, tmp_path, monkeypatch, caplog):
+        other = tmp_path / "other"
+        assert run([
+            "phantom", "--out-dir", str(other), "--count", "2", "--seed", "7",
+            "--dims", "40", "36", "24", "--radius-min", "4", "--radius-max", "6",
+        ]) == 0
+        atlases = tmp_path / "other_atlases"
+        assert run([
+            "atlas", "build", "--manifest", str(other / "manifest.csv"), "--out-dir", str(atlases),
+            "--slices", SMALL_SLICES,
+        ]) == 0
+        reads = record_reads(monkeypatch)
+        out = tmp_path / "results"
+        with caplog.at_level("ERROR"):
+            code = run([
+                "eval", "--manifest", str(phantom_dir / "manifest.csv"), "--atlas-dir", str(atlases),
+                "--out-dir", str(out), "--slices", SMALL_SLICES, "--method", "kmeans",
+            ])
+        assert code == 2
+        assert (
+            f"ground truth {phantom_dir / 'phantom_000_gt.mha'} has slices of shape (48, 48), "
+            "but the atlas for slice 10 has shape (36, 40), which no ground truth of cohort 'Phantom' has"
+        ) in caplog.text
+        assert [kind for _, kind in reads] == ["label"] * 3
+        assert not out.exists()
+
+    def test_loo_cohort_of_one_case_exits_2_before_any_read(self, phantom_dir, tmp_path, monkeypatch, caplog):
+        for kind in ("flair", "gt"):
+            (phantom_dir / f"zeta_{kind}.mha").write_bytes((phantom_dir / f"phantom_000_{kind}.mha").read_bytes())
+        manifest = phantom_dir / "two_cohorts.csv"
+        manifest.write_text((phantom_dir / "manifest.csv").read_text() + "zeta_flair.mha,zeta_gt.mha,Zeta\n")
+        reads = record_reads(monkeypatch)
+        out = tmp_path / "results"
+        with caplog.at_level("ERROR"):
+            code = run([
+                "eval", "--manifest", str(manifest), "--out-dir", str(out),
+                "--slices", SMALL_SLICES, "--method", "kmeans", "--loo",
+            ])
+        assert code == 2
+        assert "leave-one-out needs at least two cases per cohort; cohort 'Zeta' has 1" in caplog.text
+        assert reads == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["--atlas-dir", "absent-atlases", "--loo"], "--atlas-dir cannot be given with loo"),
         (["--atlas-dir", "absent-atlases", "--config", "loo.json"], "--atlas-dir cannot be given with loo"),
@@ -919,11 +888,13 @@ class TestUnreadFlags:
         (["select-slices", "--manifest", "m.csv"], ["--config", "/nonexistent.json"]),
         (["select-slices", "--manifest", "m.csv"], ["--slices", "abc"]),
         (["phantom", "--out-dir", "out"], ["--slices", "1,2"]),
+        (["phantom", "--out-dir", "out"], ["--spec", "spec.json"]),
+        (["phantom", "--out-dir", "out"], ["--config", "cfg.json"]),
         (["atlas", "build", "--manifest", "m.csv", "--out-dir", "out"], ["--seed", "3"]),
         (["extract", "--volume", "v.mha", "--atlas-dir", "a"], ["--cluster-background"]),
         (["eval", "--manifest", "m.csv", "--out-dir", "out"], ["--cluster-background"]),
     ], ids=["select-slices-seed", "select-slices-config", "select-slices-slices", "phantom-slices",
-            "atlas-build-seed", "extract-cluster-background", "eval-cluster-background"])
+            "phantom-spec", "phantom-config", "atlas-build-seed", "extract-cluster-background", "eval-cluster-background"])
     def test_flag_the_subcommand_does_not_read_is_rejected(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)
         assert run([*argv, *flag]) == 2
@@ -1061,6 +1032,17 @@ class TestConfigValidation:
         assert not list(tmp_path.rglob("results_*.csv"))
         assert any(key in rec.getMessage() for rec in caplog.records)
 
+    @pytest.mark.parametrize("file_cfg, message", [
+        ({"seed": True}, "config key 'seed' must be int, got True"),
+        ({"extract": {"representative_slices": [10, 11.5]}}, "'extract.representative_slices' must be int, got 11.5"),
+        ({"extract": {"representative_slices": 10}}, "'extract.representative_slices' must be a list of int, got 10"),
+        ({"cluster": {"tol": None}}, "config key 'cluster.tol' must be a number, got None"),
+    ], ids=["bool-seed", "float-slice", "bare-slice", "null-tol"])
+    def test_mistyped_value_is_rejected(self, file_cfg, message):
+        with pytest.raises(ConfigurationError) as info:
+            build_run_config(file_cfg)
+        assert message in str(info.value)
+
     def test_jobs_above_one_without_fork_exits_2_before_any_case(
         self, phantom_dir, tmp_path, monkeypatch, caplog
     ):
@@ -1122,10 +1104,9 @@ class TestTextEncoding:
             "config": ["eval", "--manifest", str(out.parent / "absent.csv"), "--out-dir", str(out), "--loo",
                        "--config", str(bad)],
             "manifest": ["select-slices", "--manifest", str(bad)],
-            "spec": ["phantom", "--out-dir", str(out), "--spec", str(bad)],
         }[kind]
 
-    @pytest.mark.parametrize("kind", ["config", "manifest", "spec"])
+    @pytest.mark.parametrize("kind", ["config", "manifest"])
     def test_undecodable_file_is_format_error(self, tmp_path, caplog, kind):
         bad = tmp_path / f"bad_{kind}"
         bad.write_bytes(b"\xff" + b'{"seed": 1}\n')
@@ -1136,7 +1117,7 @@ class TestTextEncoding:
         assert f"{bad} is not UTF-8 text" in caplog.text
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind, what", [("config", "config file"), ("spec", "phantom spec")])
+    @pytest.mark.parametrize("kind, what", [("config", "config file")])
     @pytest.mark.parametrize("text, message", [
         ('{"seed": 1', "malformed {what} {bad}: "),
         ('[{"seed": 1}]', "{what} {bad} must hold a JSON object"),
@@ -1151,25 +1132,19 @@ class TestTextEncoding:
         assert message.format(what=what, bad=bad) in caplog.text
         assert not out.exists()
 
-    def test_byte_order_mark_skipped_in_config_and_spec(self, tmp_path, phantom_dir):
-        # Each file as a Windows editor saves it gives the same cases as
-        # the file without the mark, or as the flag the config stands for.
-        bom = b"\xef\xbb\xbf"
-        plain = phantom_dir / "phantom_000_spec.json"
-        spec = tmp_path / "spec.json"
-        spec.write_bytes(bom + plain.read_bytes())
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run(["phantom", "--out-dir", str(a), "--count", "2", "--spec", str(spec)]) == 0
-        assert run(["phantom", "--out-dir", str(b), "--count", "2", "--spec", str(plain)]) == 0
-        assert file_hashes(sorted(a.iterdir())) == file_hashes(sorted(b.iterdir()))
-
-        cfg = tmp_path / "cfg.json"
-        cfg.write_bytes(bom + b'{"seed": 11}')
-        c, d = tmp_path / "c", tmp_path / "d"
-        assert run(["phantom", "--out-dir", str(c), "--count", "1", *SMALL, "--config", str(cfg)]) == 0
-        assert run(["phantom", "--out-dir", str(d), "--count", "1", *SMALL, "--seed", "11"]) == 0
-        assert file_hashes(sorted(c.iterdir())) == file_hashes(sorted(d.iterdir()))
-        assert json.loads((c / "phantom_000_spec.json").read_text())["seed"] == 11
+    def test_byte_order_mark_skipped_in_config_file(self, tmp_path, phantom_dir, atlas_dir, capsys):
+        # A config file as a Windows editor saves it reads as the file
+        # without the mark.
+        argv = ["extract", "--volume", str(phantom_dir / "phantom_000_flair.mha"), "--atlas-dir", str(atlas_dir),
+                "--slices", SMALL_SLICES, "--config"]
+        outs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_bytes(prefix + b'{"method": "kmeans"}')
+            assert run([*argv, str(cfg)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["method"] == "kmeans"
 
 
 class TestConfigSurface:
@@ -1223,6 +1198,20 @@ class TestConfigSurface:
             assert f"`{key}`" in paragraph, key
         for flag in ("--cluster-background", "--dice-formula"):
             assert flag not in readme
+
+    def test_every_readme_flag_is_accepted_by_a_subcommand(self):
+        # A removed option must not stay in the docs. pip's flag is the one
+        # the README names for another program.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+        accepted, parsers = set(), [build_parser()]
+        while parsers:
+            for action in parsers.pop()._actions:
+                accepted.update(action.option_strings)
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+        assert "--radius-max" in named and "--jobs" in named
+        assert sorted(named - accepted) == []
 
     @pytest.mark.parametrize("section, key, value", REMOVED, ids=[f"{s}.{k}" if s else k for s, k, _ in REMOVED])
     def test_removed_key_is_unknown(self, tmp_path, caplog, section, key, value):
